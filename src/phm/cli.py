@@ -6,14 +6,17 @@ verify. Every command writes exactly one JSON document to stdout (with a
 exits with a documented code:
 
     0  success (all gates passed)
-    1  malformed input: unparsable file, usage error, size mismatch
+    1  malformed input: unparsable file (including a number too large for a
+       float), usage error, size mismatch
     2  classification failure (including inadmissible characteristic polynomial)
     3  degenerate spectrum
-    4  numerical failure (ill-conditioned diagonalizer, solver breakdown)
+    4  numerical failure (ill-conditioned diagonalizer, solver breakdown:
+       numpy LinAlgError or MemoryError)
     5  bad parameters (wrong counts, zero or near-zero values, ...)
     6  enumeration or dense-solve size cap exceeded
     7  generation rejection budget exhausted
-    8  verification gate failed (residual, hermiticity, kernel match)
+    8  verification gate failed (residual, hermiticity, singular metric in
+       verify, kernel match)
 
 Matrix files are JSON: {"schema": 1, "n": N, "entries": [[[re, im], ...], ...]}
 with N rows of N two-element [re, im] cells. Complex command-line
@@ -30,6 +33,7 @@ import math
 import os
 import re
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -58,8 +62,15 @@ from .metrics import (
     inertia_of_matrix,
     intertwining_residual,
 )
-from .oracle import ORACLE_DIM_CAP, family_vs_kernel, solution_space
-from .spectral import SpectralData, Tolerances, check_ph_admissible, decompose
+from .oracle import ORACLE_DIM_CAP, family_vs_kernel, hermitian_basis, solution_space
+from .spectral import (
+    AdmissibilityReport,
+    SpectralData,
+    Tolerances,
+    check_ph_admissible,
+    decompose,
+    eigendecompose,
+)
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -120,17 +131,15 @@ def _emit_error(exc: Exception, extra: dict | None = None) -> None:
     print(f"error: {exc}", file=sys.stderr)
 
 
-def _complex_pairs(values) -> list[list[float]]:
-    return [[float(z.real), float(z.imag)] for z in np.asarray(values, dtype=np.complex128)]
+def _complex_pairs(values) -> list:
+    """[re, im] Python floats per entry, nested like ``values``."""
+    z = np.asarray(values, dtype=np.complex128)
+    return np.stack([z.real, z.imag], -1).tolist()
 
 
 def _matrix_doc(M: np.ndarray) -> dict:
     M = np.asarray(M, dtype=np.complex128)
-    return {
-        "schema": 1,
-        "n": int(M.shape[0]),
-        "entries": [_complex_pairs(row) for row in M],
-    }
+    return {"schema": 1, "n": int(M.shape[0]), "entries": _complex_pairs(M)}
 
 
 def _write_matrix_file(path: str, M: np.ndarray) -> None:
@@ -153,10 +162,35 @@ def _cell_to_complex(cell, row: int, col: int, path: str) -> complex:
         isinstance(x, (int, float)) for x in (re_part, im_part)
     ):
         raise FileFormatError(f"{where}: re/im must be numbers")
-    z = complex(float(re_part), float(im_part))
+    try:
+        z = complex(float(re_part), float(im_part))
+    except OverflowError:
+        raise FileFormatError(f"{where}: integer too large for a float") from None
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise FileFormatError(f"{where}: entries must be finite")
     return z
+
+
+def _entries_array(entries: list, n: int) -> np.ndarray | None:
+    """The n x n complex array of well-formed entries, else None.
+
+    Accepts exactly what the per-cell check of ``read_matrix_file`` accepts,
+    in a few passes that run in C: n rows of n two-element cells, every
+    re/im exactly an int or a float (so no bool or str), all finite.
+    """
+    try:
+        cells = list(chain.from_iterable(entries))
+        if set(map(len, entries)) != {n} or set(map(len, cells)) != {2}:
+            return None
+        scalars = list(chain.from_iterable(cells))
+        if not set(map(type, scalars)) <= {int, float}:
+            return None
+        a = np.array(scalars, dtype=np.float64)
+    except (TypeError, OverflowError):  # a row or cell that is not a list; a huge int
+        return None
+    if not np.isfinite(a).all():
+        return None
+    return a.view(np.complex128).reshape(n, n)
 
 
 def read_matrix_file(path: str) -> np.ndarray:
@@ -166,8 +200,14 @@ def read_matrix_file(path: str) -> np.ndarray:
             doc = json.load(fh)
     except OSError as exc:
         raise FileFormatError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(f"{path}: not valid UTF-8 ({exc})") from exc
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"{path}: not valid JSON ({exc})") from exc
+    except ValueError as exc:  # an integer literal past the int-parsing digit limit
+        raise FileFormatError(f"{path}: number too large to parse ({exc})") from exc
+    except RecursionError:
+        raise FileFormatError(f"{path}: arrays or objects nested too deeply") from None
     if not isinstance(doc, dict):
         raise FileFormatError(f"{path}: top level must be a JSON object")
     if doc.get("schema", 1) != 1:
@@ -178,6 +218,10 @@ def read_matrix_file(path: str) -> np.ndarray:
     entries = doc.get("entries")
     if not isinstance(entries, list) or len(entries) != n:
         raise FileFormatError(f"{path}: 'entries' must be an array of {n} rows")
+    M = _entries_array(entries, n)
+    if M is not None:
+        return M
+    # Rejected: the per-cell pass names the first bad cell.
     M = np.empty((n, n), dtype=np.complex128)
     for i, row in enumerate(entries):
         if not isinstance(row, list) or len(row) != n:
@@ -246,17 +290,25 @@ def _tolerances(args: argparse.Namespace) -> Tolerances:
     )
 
 
-def _decompose_file(path: str, args: argparse.Namespace) -> tuple[np.ndarray, SpectralData]:
-    """Shared front half: read, admissibility-check, decompose."""
-    H = read_matrix_file(path)
-    tol = _tolerances(args)
-    adm = check_ph_admissible(H, tol=tol.eps_real)
+def _inadmissible(adm: AdmissibilityReport) -> ClassificationError:
+    return ClassificationError(
+        "characteristic polynomial has a relative imaginary coefficient of "
+        f"{adm.max_imag_coeff:.3e}; matrix is not pseudo-hermitian admissible"
+    )
+
+
+def _gated_decompose(H: np.ndarray, tol: Tolerances) -> SpectralData:
+    """Admissibility-check and decompose H from one eigendecomposition."""
+    eig = eigendecompose(H)
+    adm = check_ph_admissible(H, tol=tol.eps_real, eigenpairs=eig)
     if not adm.is_ph:
-        raise ClassificationError(
-            "characteristic polynomial has a relative imaginary coefficient of "
-            f"{adm.max_imag_coeff:.3e}; matrix is not pseudo-hermitian admissible"
-        )
-    return H, decompose(H, tol=tol)
+        raise _inadmissible(adm)
+    return decompose(H, tol=tol, eigenpairs=eig)
+
+
+def _decompose_file(path: str, args: argparse.Namespace) -> SpectralData:
+    """Shared front half: read, admissibility-check, decompose."""
+    return _gated_decompose(read_matrix_file(path), _tolerances(args))
 
 
 def _check_magnitudes(values, what: str) -> None:
@@ -271,18 +323,15 @@ def _check_magnitudes(values, what: str) -> None:
 def cmd_analyze(args: argparse.Namespace) -> int:
     H = read_matrix_file(args.path)
     tol = _tolerances(args)
-    adm = check_ph_admissible(H, tol=tol.eps_real)
+    eig = eigendecompose(H)
+    adm = check_ph_admissible(H, tol=tol.eps_real, eigenpairs=eig)
     if not adm.is_ph:
-        exc = ClassificationError(
-            "characteristic polynomial has a relative imaginary coefficient of "
-            f"{adm.max_imag_coeff:.3e}; matrix is not pseudo-hermitian admissible"
-        )
         _emit_error(
-            exc,
+            _inadmissible(adm),
             extra={"is_ph_admissible": False, "max_imag_coeff": adm.max_imag_coeff},
         )
         return EXIT_CLASSIFY
-    sd = decompose(H, tol=tol)
+    sd = decompose(H, tol=tol, eigenpairs=eig)
     _emit(
         {
             "schema": 1,
@@ -319,7 +368,7 @@ def _emit_metric_result(M: np.ndarray, inertia, residual: float) -> int:
 
 
 def cmd_metric(args: argparse.Namespace) -> int:
-    _, sd = _decompose_file(args.path, args)
+    sd = _decompose_file(args.path, args)
     mu = [parse_real_literal(t) for t in _split_csv(args.mu)]
     tau = [parse_complex_literal(t) for t in _split_csv(args.tau)]
     if len(mu) != sd.r or len(tau) != sd.p:
@@ -362,7 +411,7 @@ def _reduce_angle(t: float) -> float:
 
 
 def cmd_canonical(args: argparse.Namespace) -> int:
-    _, sd = _decompose_file(args.path, args)
+    sd = _decompose_file(args.path, args)
     signs = _parse_signs(args.signs)
     bits = _parse_bits(args.n)
     theta = tuple(_reduce_angle(parse_real_literal(t)) for t in _split_csv(args.theta))
@@ -376,7 +425,7 @@ def cmd_canonical(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    _, sd = _decompose_file(args.path, args)
+    sd = _decompose_file(args.path, args)
     if sd.r + sd.p > ENUMERATE_CLI_CAP:
         raise EnumerationCapError(
             f"refusing to list 2**{sd.r + sd.p} classes (cap r + p <= {ENUMERATE_CLI_CAP})"
@@ -408,7 +457,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
             f"dense solve is capped at n <= {ORACLE_DIM_CAP}, got n = {H.shape[0]}"
         )
     try:
-        _, sd = _decompose_file(args.path, args)
+        sd = _gated_decompose(H, _tolerances(args))
     except DegenerateSpectrumError as exc:
         # Still report the kernel: its dimension exceeding n is exactly why
         # degenerate spectra are outside the family's reach.
@@ -421,7 +470,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
             },
         )
         return EXIT_DEGENERATE
-    report = solution_space(H)
+    basis = hermitian_basis(sd.n)
+    report = solution_space(H, basis=basis)
     doc = {
         "schema": 1,
         "n": sd.n,
@@ -434,7 +484,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         else None,
     }
     try:
-        match = family_vs_kernel(sd, report)
+        match = family_vs_kernel(sd, report, basis=basis)
     except FamilyMismatchError as exc:
         doc["error"] = {"type": type(exc).__name__, "message": str(exc)}
         _emit(doc)
@@ -508,12 +558,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
             "inertia": [int(x) for x in inertia],
         }
     )
-    ok = defect <= HERMITICITY_GATE and residual <= RESIDUAL_GATE
+    ok = defect <= HERMITICITY_GATE and residual <= RESIDUAL_GATE and inertia[2] == 0
     if not ok:
         print(
             f"verification failed: residual {residual:.3e} "
             f"(gate {RESIDUAL_GATE:g}), hermiticity defect {defect:.3e} "
-            f"(gate {HERMITICITY_GATE:g})",
+            f"(gate {HERMITICITY_GATE:g}), null inertia {inertia[2]} (gate 0)",
             file=sys.stderr,
         )
     return EXIT_OK if ok else EXIT_GATE
@@ -604,6 +654,9 @@ def main(argv: list[str] | None = None) -> int:
     except PhmError as exc:
         _emit_error(exc)
         return _exit_code_for(exc)
+    except (np.linalg.LinAlgError, MemoryError) as exc:
+        _emit_error(exc)
+        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

@@ -208,6 +208,7 @@ def family_vs_kernel(
     n_samples: int = 10,
     seed: int = 0,
     defect_tol: float = 1e-8,
+    basis: HermitianBasis | None = None,
 ) -> FamilyKernelMatch:
     """Check that the parametrized family and the kernel span the same space.
 
@@ -215,7 +216,9 @@ def family_vs_kernel(
     the kernel span with negligible defect, and every kernel basis
     element must be reproduced by a least-squares fit of the family
     parameters. A kernel dimension different from r + 2p aborts with an
-    error, since the family then cannot possibly be complete.
+    error, since the family then cannot possibly be complete. ``basis``,
+    if given, must be ``hermitian_basis(sd.n)``, e.g. the one passed to
+    :func:`solution_space`.
     """
     from .generators import random_parameters  # deferred: generators imports metrics
 
@@ -225,7 +228,10 @@ def family_vs_kernel(
             f"kernel dimension {report.dimension} != r + 2p = {n}; the "
             "spectrum may be (near-)degenerate or the input inadmissible"
         )
-    basis = hermitian_basis(n)
+    if basis is None:
+        basis = hermitian_basis(n)
+    if basis.n != n:
+        raise DimensionError(f"basis dimension {basis.n} does not match matrix {n}")
     K = np.stack([hermitian_coords(basis, B) for B in report.basis])
 
     rng_seed = seed

@@ -60,17 +60,20 @@ class RawEigenpairs:
 
     ``residual`` is ||H V - V diag(values)||_F / ||H||_F and
     ``min_singular_value`` is the smallest singular value of V (zero means
-    the eigenvectors do not span).
+    the eigenvectors do not span), computed on access.
     """
 
     values: np.ndarray
     right_vectors: np.ndarray
     residual: float
-    min_singular_value: float
 
     def __post_init__(self):
         lock(self.values)
         lock(self.right_vectors)
+
+    @property
+    def min_singular_value(self) -> float:
+        return float(np.linalg.svd(self.right_vectors, compute_uv=False)[-1])
 
 
 @dataclass(frozen=True)
@@ -131,17 +134,21 @@ def _scale(values: np.ndarray) -> float:
     return s if s > 0.0 else 1.0
 
 
-def check_ph_admissible(H, tol: float = 1e-8) -> AdmissibilityReport:
+def check_ph_admissible(
+    H, tol: float = 1e-8, eigenpairs: RawEigenpairs | None = None
+) -> AdmissibilityReport:
     """Check that the characteristic polynomial has real coefficients.
 
     The coefficients are computed in product form from the eigenvalues;
     the report carries the largest imaginary part relative to the largest
     coefficient magnitude. A matrix similar to its own adjoint (the
     defining property of a pseudo-hermitian matrix) passes this check.
+    ``eigenpairs``, if given, must be ``eigendecompose(H)``; it saves
+    diagonalizing H again.
     """
-    H = as_square_matrix(H, name="H")
-    values = eigendecompose(H).values
-    coeffs = np.poly(values)  # monic, so max |coeff| >= 1
+    if eigenpairs is None:
+        eigenpairs = eigendecompose(H)
+    coeffs = np.poly(eigenpairs.values)  # monic, so max |coeff| >= 1
     scale = float(np.max(np.abs(coeffs)))
     max_imag = float(np.max(np.abs(coeffs.imag))) / scale
     return AdmissibilityReport(is_ph=bool(max_imag <= tol), max_imag_coeff=max_imag)
@@ -157,13 +164,7 @@ def eigendecompose(H) -> RawEigenpairs:
     nh = frobenius(H)
     res = frobenius(H @ vectors - vectors * values[np.newaxis, :])
     residual = res / nh if nh > 0 else res
-    min_sv = float(np.linalg.svd(vectors, compute_uv=False)[-1])
-    return RawEigenpairs(
-        values=values,
-        right_vectors=vectors,
-        residual=float(residual),
-        min_singular_value=min_sv,
-    )
+    return RawEigenpairs(values=values, right_vectors=vectors, residual=float(residual))
 
 
 def classify_spectrum(
@@ -325,15 +326,19 @@ def build_spectral_data(
     )
 
 
-def decompose(H, tol: Tolerances = Tolerances()) -> SpectralData:
+def decompose(
+    H, tol: Tolerances = Tolerances(), eigenpairs: RawEigenpairs | None = None
+) -> SpectralData:
     """Full pipeline: eigendecompose, classify, reject degeneracy, order.
 
     Raises :class:`ClassificationError`, :class:`DegenerateSpectrumError`
     or :class:`IllConditionedError` when the input falls outside the
     supported class (non-admissible, degenerate, or numerically hopeless).
+    ``eigenpairs``, if given, must be ``eigendecompose(H)``; it saves
+    diagonalizing H again.
     """
     H = as_square_matrix(H, name="H")
-    eig = eigendecompose(H)
+    eig = eigendecompose(H) if eigenpairs is None else eigenpairs
     cls = classify_spectrum(eig.values, eps_real=tol.eps_real, eps_pair=tol.eps_pair)
     assert_nondegenerate(eig.values, gap_tol=tol.gap_tol)
     return build_spectral_data(H, cls, eig, cond_cap=tol.cond_cap)

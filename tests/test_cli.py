@@ -3,9 +3,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import DIAG12, ROT2, write_matrix_json
-from phm.cli import main, parse_complex_literal, parse_real_literal, read_matrix_file
+from phm.cli import (
+    _matrix_doc,
+    _write_matrix_file,
+    main,
+    parse_complex_literal,
+    parse_real_literal,
+    read_matrix_file,
+)
 from phm.errors import FileFormatError, ParameterError
 from phm.matrices import SIGMA_X, SIGMA_Z
 
@@ -99,6 +108,109 @@ def test_matrix_file_rejects_malformed(tmp_path, doc):
     path.write_text(doc)
     with pytest.raises(FileFormatError):
         read_matrix_file(str(path))
+
+
+@pytest.mark.parametrize(
+    "entries,message",
+    [
+        ([[[1, 0], [0, 0]], [[0, 0], [True, 0]]], "row 2, column 2: re/im must be numbers"),
+        ([[[1, False], [0, 0]], [[0, 0], [1, 0]]], "row 1, column 1: re/im must be numbers"),
+        ([[[1, 0], ["0", 0]], [[0, 0], [1, 0]]], "row 1, column 2: re/im must be numbers"),
+        ([[[1, 0], [0, None]], [[0, 0], [1, 0]]], "row 1, column 2: re/im must be numbers"),
+        (
+            [[[1, 0], [0, 0]], [[0, 0, 0], [1, 0]]],
+            "row 2, column 1: entry must be a two-element [re, im] array",
+        ),
+        (
+            [[[1, 0], 5], [[0, 0], [1, 0]]],
+            "row 1, column 2: entry must be a two-element [re, im] array",
+        ),
+        ([[[1, 0], [0, 0]], [[0, 0]]], "row 2 must have exactly 2 entries"),
+        ([[[1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0]]], "row 1 must have exactly 2 entries"),
+        ([[[1, 0], [0, 0]], "ab"], "row 2 must have exactly 2 entries"),
+        ([[[1, 0], [0, 0]], [[0, float("inf")], [1, 0]]], "row 2, column 1: entries must be finite"),
+    ],
+)
+def test_matrix_file_message_names_first_bad_cell(tmp_path, entries, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"schema": 1, "n": 2, "entries": entries}).replace("Infinity", "1e999"))
+    with pytest.raises(FileFormatError) as info:
+        read_matrix_file(str(path))
+    assert str(info.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("re_part,im_part", [(2**63 + 1, -(2**70) - 1), (10**300 + 7, -3)])
+def test_matrix_file_integers_read_as_float(tmp_path, re_part, im_part):
+    path = tmp_path / "ints.json"
+    path.write_text(json.dumps({"schema": 1, "n": 1, "entries": [[[re_part, im_part]]]}))
+    assert read_matrix_file(str(path))[0, 0] == complex(float(re_part), float(im_part))
+
+
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, -1e308]
+_cell_floats = st.one_of(
+    st.sampled_from(_EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False)
+)
+
+
+@settings(deadline=None, max_examples=50)
+@given(data=st.data(), n=st.integers(1, 5))
+def test_matrix_file_exact_round_trip(tmp_path_factory, data, n):
+    parts = data.draw(st.lists(_cell_floats, min_size=2 * n * n, max_size=2 * n * n))
+    M = np.array(parts, dtype=np.float64).view(np.complex128).reshape(n, n)
+    path = str(tmp_path_factory.mktemp("io") / "m.json")
+    _write_matrix_file(path, M)
+    assert read_matrix_file(path).tobytes() == M.tobytes()  # bit for bit, -0.0 included
+    reference = [[[float(z.real), float(z.imag)] for z in row] for row in M]
+    assert json.dumps(_matrix_doc(M)["entries"]) == json.dumps(reference)
+
+
+def _strict_json(text: str):
+    def reject(name):
+        raise ValueError(f"non-strict JSON constant {name}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def _with_cell(text: str) -> bytes:
+    return b'{"schema": 1, "n": 2, "entries": [[[1, 0], [0, 0]], [[%s, 0], [1, 0]]]}' % text.encode()
+
+
+@pytest.mark.parametrize(
+    "raw,message",
+    [
+        (_with_cell("9" * 401), "row 2, column 1: integer too large for a float"),
+        (_with_cell("9" * 5000), "number too large to parse"),
+        (b"\xff\xfe{}", "not valid UTF-8"),
+        (b"[" * 100000, "nested too deeply"),
+    ],
+    ids=["int-401-digits", "int-5000-digits", "not-utf8", "deep-nesting"],
+)
+def test_unreadable_file_exits_1(capsys, tmp_path, raw, message):
+    path = tmp_path / "bad.json"
+    path.write_bytes(raw)
+    code, text, err = run(capsys, "analyze", str(path), parse=False)
+    doc = _strict_json(text)
+    assert code == 1
+    assert doc["error"]["type"] == "FileFormatError"
+    assert message in doc["error"]["message"]
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "exc", [np.linalg.LinAlgError("SVD did not converge"), MemoryError()]
+)
+def test_solver_failure_exits_4(capsys, monkeypatch, diag_file, exc):
+    import phm.oracle
+
+    def broken_svd(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(phm.oracle.np.linalg, "svd", broken_svd)
+    code, text, err = run(capsys, "oracle", diag_file, parse=False)
+    doc = _strict_json(text)
+    assert code == 4
+    assert doc["error"]["type"] == type(exc).__name__
+    assert "Traceback" not in err
 
 
 def test_cli_malformed_file_exits_1(capsys, tmp_path):
@@ -386,6 +498,18 @@ def test_verify_golden(capsys, tmp_path, rot_file, diag_file):
     assert "verification failed" in err
 
 
+@pytest.mark.parametrize(
+    "metric,inertia", [(np.zeros((2, 2)), [0, 0, 2]), (np.diag([1.0, 0.0]), [1, 0, 1])]
+)
+def test_verify_rejects_singular_metric(capsys, tmp_path, diag_file, metric, inertia):
+    # residual 0 and hermitian, but a metric must be invertible
+    path = write_matrix_json(tmp_path / "singular.json", metric)
+    code, doc, err = run(capsys, "verify", diag_file, path)
+    assert code == 8
+    assert doc["inertia"] == inertia
+    assert "null inertia" in err
+
+
 def test_verify_size_mismatch(capsys, tmp_path, rot_file):
     m3 = write_matrix_json(tmp_path / "m3.json", np.eye(3))
     code, doc, _ = run(capsys, "verify", rot_file, m3)
@@ -401,6 +525,47 @@ def test_verify_nonhermitian_candidate(capsys, tmp_path, diag_file):
 
 
 # ------------------------------------------------------------------- misc
+
+
+def _count_calls(monkeypatch, counts, module, name):
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze"],
+        ["metric", "--tau", "1+0i"],
+        ["canonical", "--n", "0", "--theta", "0"],
+        ["enumerate"],
+        ["oracle"],
+    ],
+)
+def test_one_read_and_eigendecomposition_per_request(capsys, monkeypatch, rot_file, argv):
+    import phm.cli
+    import phm.oracle
+    import phm.spectral
+
+    counts: dict[str, int] = {}
+    for module, name in [
+        (phm.cli, "read_matrix_file"),
+        (phm.cli, "eigendecompose"),
+        (phm.spectral, "eigendecompose"),
+        (phm.cli, "hermitian_basis"),
+        (phm.oracle, "hermitian_basis"),
+    ]:
+        _count_calls(monkeypatch, counts, module, name)
+    code, _, _ = run(capsys, argv[0], rot_file, *argv[1:])
+    assert code == 0
+    assert counts["read_matrix_file"] == 1
+    assert counts["eigendecompose"] == 1
+    assert counts.get("hermitian_basis", 0) == (1 if argv[0] == "oracle" else 0)
 
 
 def test_usage_error_is_json(capsys):

@@ -96,6 +96,15 @@ def test_block_rotation_diagonalizes(tau, n):
     assert_allclose(got, (-1.0) ** n * abs(tau) * SIGMA_Z, atol=1e-13 * abs(tau))
 
 
+def test_block_rotation_angle_underflow():
+    # the angle of 2+5e-324j underflows to 0; cmath.phase raises OverflowError there
+    tau = 2 + 5e-324j
+    W = block_rotation(tau, 0)
+    assert_allclose(W @ pair_block(tau) @ W.conj().T, 2.0 * SIGMA_Z, atol=1e-15)
+    _, cls = gauge_absorb(decompose(ROT2), MetricParameters(mu=[], tau=[tau]))
+    assert cls.theta == (0.0,)
+
+
 def test_build_m0_is_signature():
     m0 = build_m0((1, -1), (1,))
     assert_allclose(m0, np.diag([1.0, -1.0, -1.0, 1.0]), atol=0)
@@ -144,6 +153,15 @@ def test_residual_frozen_value():
     # relative residual is sqrt(2) / (sqrt(5) sqrt(2)) = 1/sqrt(5).
     res = intertwining_residual(np.diag([1.0, 2.0]), SIGMA_X)
     assert res == pytest.approx(1.0 / math.sqrt(5.0), rel=1e-15)
+
+
+def test_residual_of_nearly_hermitian_metric():
+    # M = I + 1e-11 A with A anti-hermitian has hermiticity defect 2e-11, inside
+    # the 1e-10 gate; its residual is 1e-11 ||[H, A]|| / (||H|| ||M||)
+    H = np.diag([1.0, 2.0])
+    M = np.eye(2) + 1e-11 * np.array([[0.0, 1.0], [-1.0, 0.0]])
+    res = intertwining_residual(H, M)
+    assert res == pytest.approx(1e-11 / math.sqrt(5.0), rel=1e-4)
 
 
 @settings(deadline=None, max_examples=30)

@@ -42,6 +42,15 @@ def test_eigendecompose_residual_small():
     assert eig.min_singular_value > 0.5
 
 
+def test_shared_eigenpairs_give_identical_results():
+    inst = make_instance(8, 2, 3, seed=5)
+    eig = eigendecompose(inst.H)
+    assert check_ph_admissible(inst.H, eigenpairs=eig) == check_ph_admissible(inst.H)
+    a, b = decompose(inst.H, eigenpairs=eig), decompose(inst.H)
+    assert a.lam.tobytes() == b.lam.tobytes()
+    assert a.S.tobytes() == b.S.tobytes()
+
+
 def test_classify_diag12():
     cls = classify_spectrum(np.array([2.0, 1.0], dtype=complex))
     assert cls.r == 2 and cls.p == 0

@@ -22,12 +22,19 @@ Matrix files are JSON: {"schema": 1, "n": N, "entries": [[[re, im], ...], ...]}
 with N rows of N two-element [re, im] cells. Complex command-line
 literals use a+bi form ("1.5-2e-3i"); a bare real is accepted, forms
 with a coefficient-less i are rejected as ambiguous. The env var
-PHM_DEFAULT_TOL overrides the 1e-8 default classification tolerances.
+PHM_DEFAULT_TOL overrides the 1e-8 default classification tolerances;
+the --eps-real, --eps-pair and --gap-tol flags of every command that
+decomposes H (analyze, metric, canonical, enumerate, oracle) override it.
+
+stdout is always strict JSON: a number that is NaN or infinite (say, a
+figure that overflowed on entries near 1e308) is written as null. The
+exit code is the one the command gives anyway.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -58,7 +65,7 @@ from .metrics import (
     MetricParameters,
     build_M,
     canonical_metric,
-    enumerate_classes,
+    class_tables,
     inertia_of_matrix,
     intertwining_residual,
 )
@@ -109,18 +116,40 @@ def _exit_code_for(exc: PhmError) -> int:
     return EXIT_INPUT
 
 
-def _emit(doc: dict) -> None:
+_STRICT = json.JSONEncoder(allow_nan=False)  # strict JSON has no NaN or Infinity
+
+
+def _nonfinite_to_null(value):
+    """``value`` with every NaN or infinite float replaced by None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _nonfinite_to_null(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_nonfinite_to_null(v) for v in value]
+    return value
+
+
+def _format_doc(doc: dict) -> str:
     # One top-level key per line, nested values compact; plain json.dumps
     # indentation would spread every [re, im] cell over four lines.
     parts = []
     for key, value in doc.items():
         if isinstance(value, dict) and "entries" in value:
-            rows = ",\n   ".join(json.dumps(r) for r in value["entries"])
+            rows = ",\n   ".join(_STRICT.encode(r) for r in value["entries"])
             text = '{"schema": 1, "n": %d, "entries": [\n   %s\n  ]}' % (value["n"], rows)
         else:
-            text = json.dumps(value)
+            text = _STRICT.encode(value)
         parts.append(f' "{key}": {text}')
-    print("{\n" + ",\n".join(parts) + "\n}")
+    return "{\n" + ",\n".join(parts) + "\n}"
+
+
+def _emit(doc: dict) -> None:
+    try:
+        text = _format_doc(doc)
+    except ValueError:  # a non-finite float
+        text = _format_doc(_nonfinite_to_null(doc))
+    print(text)
 
 
 def _emit_error(exc: Exception, extra: dict | None = None) -> None:
@@ -430,22 +459,23 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         raise EnumerationCapError(
             f"refusing to list 2**{sd.r + sd.p} classes (cap r + p <= {ENUMERATE_CLI_CAP})"
         )
-    classes = enumerate_classes(sd.r, sd.p, mod_global=not args.no_mod_global)
-    rows = []
-    for signs, bits in classes:
-        pos = sum(1 for s in signs if s > 0)
-        rows.append(
-            {
-                "signs": list(signs),
-                "n": list(bits),
-                "inertia": [sd.p + pos, sd.p + (sd.r - pos), 0],
-            }
-        )
-    # one class per line, by hand; json.dumps alone cannot mix indent styles
-    body = ",\n".join("  " + json.dumps(row) for row in rows)
-    classes_block = "[\n%s\n ]" % body if rows else "[]"
+    # Each class prints as a sign row's text and a bit row's text between
+    # fixed pieces, so the rows are formatted once per table, not per class.
+    sign_rows, bit_rows = class_tables(
+        sd.r, sd.p, not args.no_mod_global, signs=("1", "-1"), bits=("0", "1"), sep=", "
+    )
+    tails = [  # by the number of negative signs
+        '], "inertia": [%d, %d, 0]}' % (sd.p + sd.r - neg, sd.p + neg)
+        for neg in range(sd.r + 1)
+    ]
+    blocks = []
+    for signs in sign_rows:
+        tail = tails[signs.count("-")]
+        head = '  {"signs": [%s], "n": [' % signs
+        blocks.append(head + (tail + ",\n" + head).join(bit_rows) + tail)
     print(
-        '{\n "schema": 1,\n "count": %d,\n "classes": %s\n}' % (len(rows), classes_block)
+        '{\n "schema": 1,\n "count": %d,\n "classes": [\n%s\n ]\n}'
+        % (len(sign_rows) * len(bit_rows), ",\n".join(blocks))
     )
     return EXIT_OK
 
@@ -588,7 +618,14 @@ def _add_tolerance_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--gap-tol", type=float, default=None, help="degeneracy gap tolerance (relative)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.
+
+    Parsing leaves it unchanged, so every ``main`` call in one process (the
+    tests, an in-process driver) shares it; building it costs more than
+    most requests at n <= 10.
+    """
     parser = _Parser(
         prog="phm",
         description="Construct, canonicalize, enumerate and verify hermitian "
@@ -605,6 +642,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path", help="matrix JSON file")
     p.add_argument("--mu", default=None, help="comma-separated real parameters, one per real eigenvalue")
     p.add_argument("--tau", default=None, help="comma-separated a+bi parameters, one per conjugate pair")
+    _add_tolerance_flags(p)
     p.set_defaults(func=cmd_metric)
 
     p = sub.add_parser("canonical", help="build the canonical (unitary-gauge) metric of a class")
@@ -612,6 +650,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--signs", default=None, help="comma-separated +/- per real eigenvalue")
     p.add_argument("--n", default=None, help="comma-separated orientation bits (0/1) per pair")
     p.add_argument("--theta", default=None, help="comma-separated phases in radians per pair")
+    _add_tolerance_flags(p)
     p.set_defaults(func=cmd_canonical)
 
     p = sub.add_parser("enumerate", help="list the discrete metric classes with inertias")
@@ -621,10 +660,12 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="list all 2**(r+p) sign assignments instead of one per global-flip orbit",
     )
+    _add_tolerance_flags(p)
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("oracle", help="solve the intertwining equation by brute force and compare")
     p.add_argument("path", help="matrix JSON file")
+    _add_tolerance_flags(p)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("generate", help="generate a random admissible instance with a certificate metric")

@@ -21,7 +21,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -374,6 +373,52 @@ def is_global_representative(signs: tuple[int, ...], n: tuple[int, ...]) -> bool
     return True
 
 
+def _words(k: int, letters, sep, halve: bool = False) -> list:
+    """The 2**k words of length k over two letters, in lexicographic order.
+
+    A word is a word of its first k // 2 letters, then ``sep``, then a word
+    of the rest, so the table costs one concatenation per word. ``halve``
+    keeps the first half: the words that start with ``letters[0]``.
+    """
+    if k == 0:
+        return [sep[:0]]  # the empty word, of the letters' type
+    if k == 1:
+        return list(letters[:1] if halve else letters)
+    head = [w + sep for w in _words(k // 2, letters, sep, halve)]
+    tail = _words(k - k // 2, letters, sep)
+    return [a + b for a in head for b in tail]
+
+
+def class_tables(
+    r: int,
+    p: int,
+    mod_global: bool = True,
+    signs=((1,), (-1,)),
+    bits=((0,), (1,)),
+    sep=(),
+) -> tuple[list, list]:
+    """The sign table and the bit table of the discrete classes.
+
+    The classes are the lexicographic product of the 2**r sign rows (+1
+    before -1) and the 2**p bit rows (0 before 1). With ``mod_global`` one
+    table is halved, which keeps the member of every {x, -x} orbit whose
+    first signature entry is +1: the sign rows that start with +1 when
+    r > 0, else the bit rows that start with 0. By default rows are tuples;
+    with string letters and a string ``sep`` they are texts, so a caller
+    can print the classes without building them.
+    """
+    if r < 0 or p < 0:
+        raise ParameterError("r and p must be nonnegative")
+    if r + p > ENUMERATION_CAP:
+        raise EnumerationCapError(
+            f"2**{r + p} classes exceed the machine-word cap (r + p <= {ENUMERATION_CAP})"
+        )
+    return (
+        _words(r, signs, sep, halve=mod_global),
+        _words(p, bits, sep, halve=mod_global and r == 0),
+    )
+
+
 def enumerate_classes(
     r: int, p: int, mod_global: bool = True
 ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -382,21 +427,11 @@ def enumerate_classes(
     With ``mod_global`` every {x, -x} orbit is represented once, by the
     member whose first signature entry is +1, giving 2**(r+p-1) classes;
     without it all 2**(r+p) assignments are returned. Ordering is
-    lexicographic with +1 before -1 and 0 before 1.
+    lexicographic with +1 before -1 and 0 before 1; see
+    :func:`class_tables`.
     """
-    if r < 0 or p < 0:
-        raise ParameterError("r and p must be nonnegative")
-    if r + p > ENUMERATION_CAP:
-        raise EnumerationCapError(
-            f"2**{r + p} classes exceed the machine-word cap (r + p <= {ENUMERATION_CAP})"
-        )
-    out = []
-    for signs in product((1, -1), repeat=r):
-        for bits in product((0, 1), repeat=p):
-            if mod_global and not is_global_representative(signs, bits):
-                continue
-            out.append((signs, bits))
-    return out
+    sign_rows, bit_rows = class_tables(r, p, mod_global)
+    return [(s, b) for s in sign_rows for b in bit_rows]
 
 
 def sqh_factorization(sd: SpectralData) -> MetricResult:

@@ -1,5 +1,6 @@
 import json
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from phm.cli import (
 )
 from phm.errors import FileFormatError, ParameterError
 from phm.matrices import SIGMA_X, SIGMA_Z
+from phm.metrics import is_global_representative
 
 
 def run(capsys, *argv, parse=True):
@@ -386,6 +388,42 @@ def test_enumerate_mixed_split_inertias(capsys, tmp_path):
     ]
 
 
+def _reference_enumerate_stdout(r, p, mod_global):
+    """The enumerate printer the string tables replaced: a dict and a
+    json.dumps per class, over the filtered full product."""
+    rows = []
+    for signs in product((1, -1), repeat=r):
+        for bits in product((0, 1), repeat=p):
+            if mod_global and not is_global_representative(signs, bits):
+                continue
+            pos = sum(1 for s in signs if s > 0)
+            rows.append({"signs": list(signs), "n": list(bits), "inertia": [p + pos, p + (r - pos), 0]})
+    body = ",\n".join("  " + json.dumps(row) for row in rows)
+    classes_block = "[\n%s\n ]" % body if rows else "[]"
+    return '{\n "schema": 1,\n "count": %d,\n "classes": %s\n}\n' % (len(rows), classes_block)
+
+
+def _split_matrix(r, p):
+    """Real block-diagonal H with eigenvalues 1..r and k +- 1i, k = 1..p."""
+    H = np.zeros((r + 2 * p, r + 2 * p))
+    H[np.arange(r), np.arange(r)] = np.arange(1, r + 1)
+    for k in range(p):
+        i = r + 2 * k
+        H[i : i + 2, i : i + 2] = [[k + 1, 1.0], [-1.0, k + 1]]
+    return H
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_enumerate_matches_reference_printer(capsys, tmp_path, k):
+    for r in range(k + 1):
+        path = write_matrix_json(tmp_path / f"h{r}.json", _split_matrix(r, k - r))
+        for mod_global in (True, False):
+            argv = ["enumerate", path] + ([] if mod_global else ["--no-mod-global"])
+            code, text, _ = run(capsys, *argv, parse=False)
+            assert code == 0
+            assert text == _reference_enumerate_stdout(r, k - r, mod_global), (r, mod_global)
+
+
 # ------------------------------------------------------------------- oracle
 
 
@@ -566,6 +604,49 @@ def test_one_read_and_eigendecomposition_per_request(capsys, monkeypatch, rot_fi
     assert counts["read_matrix_file"] == 1
     assert counts["eigendecompose"] == 1
     assert counts.get("hermitian_basis", 0) == (1 if argv[0] == "oracle" else 0)
+
+
+def _strict_loads(text):
+    def reject(name):
+        raise ValueError(f"non-JSON constant {name}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_nonfinite_numbers_print_as_null(capsys, tmp_path):
+    # entries near 1e308 overflow the polynomial figure of the admissibility gate
+    path = tmp_path / "huge.json"
+    path.write_text(
+        '{"schema":1,"n":2,"entries":[[[1e308,0],[5e307,0]],[[-5e307,0],[1e308,0]]]}'
+    )
+    code, text, _ = run(capsys, "analyze", str(path), parse=False)
+    assert code == 2
+    doc = _strict_loads(text)
+    assert doc["max_imag_coeff"] is None
+    assert doc["error"]["type"] == "ClassificationError"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["metric", "--mu", "1,-1"],
+        ["canonical", "--signs", "+,-"],
+        ["enumerate"],
+        ["oracle"],
+    ],
+)
+def test_tolerance_flags_on_every_decomposing_command(capsys, monkeypatch, tmp_path, diag_file, argv):
+    monkeypatch.delenv("PHM_DEFAULT_TOL", raising=False)
+    command, rest = argv[0], argv[1:]
+    _, plain, _ = run(capsys, command, diag_file, *rest, parse=False)
+    defaults = ["--eps-real", "1e-8", "--eps-pair", "1e-8", "--gap-tol", "1e-8"]
+    code, flagged, _ = run(capsys, command, diag_file, *rest, *defaults, parse=False)
+    assert code == 0
+    assert flagged == plain
+    # gap 1e-5 passes the default gap tolerance, fails a 1e-3 one
+    near = write_matrix_json(tmp_path / "near.json", np.diag([1.0, 1.0 + 1e-5]))
+    assert run(capsys, command, near, *rest)[0] == 0
+    assert run(capsys, command, near, *rest, "--gap-tol", "1e-3")[0] == 3
 
 
 def test_usage_error_is_json(capsys):

@@ -1,5 +1,6 @@
 import cmath
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from phm.metrics import (
     build_m,
     build_m0,
     canonical_metric,
+    class_tables,
     enumerate_classes,
     gauge_absorb,
     inertia_of_matrix,
@@ -295,6 +297,23 @@ def test_enumerate_r0_representative_uses_first_bit():
     classes = enumerate_classes(0, 2)
     assert all(b[0] == 0 for _, b in classes)
     assert len(classes) == 2
+
+
+@pytest.mark.parametrize("mod_global", [True, False])
+def test_enumeration_is_the_product_of_the_class_tables(mod_global):
+    for k in range(1, 13):
+        for r in range(k + 1):
+            p = k - r
+            sign_rows, bit_rows = class_tables(r, p, mod_global)
+            classes = enumerate_classes(r, p, mod_global)
+            assert classes == [(s, b) for s in sign_rows for b in bit_rows]
+            # the definition the tables replace: filter the full product
+            assert classes == [
+                (s, b)
+                for s in product((1, -1), repeat=r)
+                for b in product((0, 1), repeat=p)
+                if not mod_global or is_global_representative(s, b)
+            ]
 
 
 def test_enumerate_cap():

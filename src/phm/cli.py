@@ -125,7 +125,7 @@ def _nonfinite_to_null(value):
         return value if math.isfinite(value) else None
     if isinstance(value, dict):
         return {k: _nonfinite_to_null(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
+    if isinstance(value, list):
         return [_nonfinite_to_null(v) for v in value]
     return value
 

@@ -22,9 +22,10 @@ Matrix files are JSON: {"schema": 1, "n": N, "entries": [[[re, im], ...], ...]}
 with N rows of N two-element [re, im] cells. Complex command-line
 literals use a+bi form ("1.5-2e-3i"); a bare real is accepted, forms
 with a coefficient-less i are rejected as ambiguous. The env var
-PHM_DEFAULT_TOL overrides the 1e-8 default classification tolerances;
-the --eps-real, --eps-pair and --gap-tol flags of every command that
-decomposes H (analyze, metric, canonical, enumerate, oracle) override it.
+PHM_DEFAULT_TOL overrides the 1e-8 default classification tolerances of
+every command that decomposes H; analyze's --eps-real, --eps-pair and
+--gap-tol flags override it for analyze. Each tolerance must be a finite
+positive number (exit 5 otherwise).
 
 stdout is always strict JSON: a number that is NaN or infinite (say, a
 figure that overflowed on entries near 1e308) is written as null. The
@@ -34,7 +35,6 @@ exit code is the one the command gives anyway.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import os
@@ -304,19 +304,25 @@ def _default_tolerance() -> float:
         tol = float(raw)
     except ValueError:
         raise ParameterError(f"PHM_DEFAULT_TOL is not a number: {raw!r}") from None
+    return _positive_tolerance(tol, "PHM_DEFAULT_TOL", raw)
+
+
+def _positive_tolerance(tol: float, name: str, raw) -> float:
     if not (math.isfinite(tol) and tol > 0.0):
-        raise ParameterError(f"PHM_DEFAULT_TOL must be a positive number, got {raw!r}")
+        raise ParameterError(f"{name} must be a positive number, got {raw!r}")
     return tol
 
 
 def _tolerances(args: argparse.Namespace) -> Tolerances:
     base = _default_tolerance()
-    pick = lambda name: getattr(args, name, None)
-    return Tolerances(
-        eps_real=pick("eps_real") if pick("eps_real") is not None else base,
-        eps_pair=pick("eps_pair") if pick("eps_pair") is not None else base,
-        gap_tol=pick("gap_tol") if pick("gap_tol") is not None else base,
-    )
+
+    def pick(name: str) -> float:
+        value = getattr(args, name, None)
+        if value is None:
+            return base
+        return _positive_tolerance(value, "--" + name.replace("_", "-"), value)
+
+    return Tolerances(eps_real=pick("eps_real"), eps_pair=pick("eps_pair"), gap_tol=pick("gap_tol"))
 
 
 def _inadmissible(adm: AdmissibilityReport) -> ClassificationError:
@@ -618,14 +624,7 @@ def _add_tolerance_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--gap-tol", type=float, default=None, help="degeneracy gap tolerance (relative)")
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process.
-
-    Parsing leaves it unchanged, so every ``main`` call in one process (the
-    tests, an in-process driver) shares it; building it costs more than
-    most requests at n <= 10.
-    """
     parser = _Parser(
         prog="phm",
         description="Construct, canonicalize, enumerate and verify hermitian "
@@ -642,7 +641,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path", help="matrix JSON file")
     p.add_argument("--mu", default=None, help="comma-separated real parameters, one per real eigenvalue")
     p.add_argument("--tau", default=None, help="comma-separated a+bi parameters, one per conjugate pair")
-    _add_tolerance_flags(p)
     p.set_defaults(func=cmd_metric)
 
     p = sub.add_parser("canonical", help="build the canonical (unitary-gauge) metric of a class")
@@ -650,7 +648,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--signs", default=None, help="comma-separated +/- per real eigenvalue")
     p.add_argument("--n", default=None, help="comma-separated orientation bits (0/1) per pair")
     p.add_argument("--theta", default=None, help="comma-separated phases in radians per pair")
-    _add_tolerance_flags(p)
     p.set_defaults(func=cmd_canonical)
 
     p = sub.add_parser("enumerate", help="list the discrete metric classes with inertias")
@@ -660,12 +657,10 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="list all 2**(r+p) sign assignments instead of one per global-flip orbit",
     )
-    _add_tolerance_flags(p)
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("oracle", help="solve the intertwining equation by brute force and compare")
     p.add_argument("path", help="matrix JSON file")
-    _add_tolerance_flags(p)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("generate", help="generate a random admissible instance with a certificate metric")

@@ -626,27 +626,13 @@ def test_nonfinite_numbers_print_as_null(capsys, tmp_path):
     assert doc["error"]["type"] == "ClassificationError"
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["metric", "--mu", "1,-1"],
-        ["canonical", "--signs", "+,-"],
-        ["enumerate"],
-        ["oracle"],
-    ],
-)
-def test_tolerance_flags_on_every_decomposing_command(capsys, monkeypatch, tmp_path, diag_file, argv):
-    monkeypatch.delenv("PHM_DEFAULT_TOL", raising=False)
-    command, rest = argv[0], argv[1:]
-    _, plain, _ = run(capsys, command, diag_file, *rest, parse=False)
-    defaults = ["--eps-real", "1e-8", "--eps-pair", "1e-8", "--gap-tol", "1e-8"]
-    code, flagged, _ = run(capsys, command, diag_file, *rest, *defaults, parse=False)
-    assert code == 0
-    assert flagged == plain
-    # gap 1e-5 passes the default gap tolerance, fails a 1e-3 one
-    near = write_matrix_json(tmp_path / "near.json", np.diag([1.0, 1.0 + 1e-5]))
-    assert run(capsys, command, near, *rest)[0] == 0
-    assert run(capsys, command, near, *rest, "--gap-tol", "1e-3")[0] == 3
+@pytest.mark.parametrize("flag, value", [("--gap-tol", "nan"), ("--eps-real", "-1"), ("--eps-pair", "inf"), ("--gap-tol", "0")])
+def test_tolerance_flag_must_be_finite_positive(capsys, diag_file, flag, value):
+    # the flags take the same finite-and-positive check as PHM_DEFAULT_TOL
+    code, doc, _ = run(capsys, "analyze", diag_file, flag, value)
+    assert code == 5
+    assert doc["error"]["type"] == "ParameterError"
+    assert flag in doc["error"]["message"]
 
 
 def test_usage_error_is_json(capsys):

@@ -69,7 +69,7 @@ from .metrics import (
     inertia_of_matrix,
     intertwining_residual,
 )
-from .oracle import ORACLE_DIM_CAP, family_vs_kernel, hermitian_basis, solution_space
+from .oracle import family_vs_kernel, hermitian_basis, solution_space
 from .spectral import (
     AdmissibilityReport,
     SpectralData,
@@ -488,16 +488,13 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     H = read_matrix_file(args.path)
-    if H.shape[0] > ORACLE_DIM_CAP:
-        raise EnumerationCapError(
-            f"dense solve is capped at n <= {ORACLE_DIM_CAP}, got n = {H.shape[0]}"
-        )
+    basis = hermitian_basis(H.shape[0])  # enforces the dense-solve cap
     try:
         sd = _gated_decompose(H, _tolerances(args))
     except DegenerateSpectrumError as exc:
         # Still report the kernel: its dimension exceeding n is exactly why
         # degenerate spectra are outside the family's reach.
-        report = solution_space(H)
+        report = solution_space(H, basis=basis)
         _emit_error(
             exc,
             extra={
@@ -506,7 +503,6 @@ def cmd_oracle(args: argparse.Namespace) -> int:
             },
         )
         return EXIT_DEGENERATE
-    basis = hermitian_basis(sd.n)
     report = solution_space(H, basis=basis)
     doc = {
         "schema": 1,
@@ -575,6 +571,21 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return EXIT_OK if residual <= RESIDUAL_GATE else EXIT_GATE
 
 
+def _unit_scaled(A: np.ndarray) -> np.ndarray:
+    """A times the power of two that puts its largest |Re| or |Im| in [0.5, 1).
+
+    Scaling by a power of two is exact, so scale-free figures computed
+    from the result are the same bits as from A, without overflowing
+    near 1e308.
+    """
+    top = max(float(np.max(np.abs(A.real))), float(np.max(np.abs(A.imag))))
+    shift = -math.frexp(top)[1]
+    out = np.empty_like(A)
+    out.real = np.ldexp(A.real, shift)
+    out.imag = np.ldexp(A.imag, shift)
+    return out
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     H = read_matrix_file(args.path_h)
     M = read_matrix_file(args.path_m)
@@ -583,6 +594,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
             f"size mismatch: H is {H.shape[0]}x{H.shape[0]} but M is "
             f"{M.shape[0]}x{M.shape[0]}"
         )
+    # residual, hermiticity defect and inertia are scale-free
+    H, M = _unit_scaled(H), _unit_scaled(M)
     defect = hermiticity_defect(M)
     residual = intertwining_residual(H, M, check_hermitian=False)
     inertia = inertia_of_matrix(hermitize(M))

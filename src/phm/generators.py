@@ -34,7 +34,9 @@ class GeneratorConfig:
     over the first interval, imaginary parts of pair representatives
     uniform over the second. ``min_gap_target`` is relative to the
     spectral scale and bounds the smallest pairwise eigenvalue distance
-    accepted; ``cond_max`` bounds the similarity's condition number.
+    accepted; it defaults to min(0.01, 1/n^2), because n eigenvalues in
+    the box are typically about 1/n^2 apart at the closest.
+    ``cond_max`` bounds the similarity's condition number.
     """
 
     n: int
@@ -46,7 +48,7 @@ class GeneratorConfig:
         (-1.0, 1.0),
         (0.0, 1.0),
     )
-    min_gap_target: float = 0.01
+    min_gap_target: float | None = None
     max_attempts: int = 1000
 
     def __post_init__(self):
@@ -56,6 +58,8 @@ class GeneratorConfig:
             raise ParameterError(
                 f"split must satisfy r + 2p = n, got r={self.r}, p={self.p}, n={self.n}"
             )
+        if self.min_gap_target is None:
+            object.__setattr__(self, "min_gap_target", min(0.01, 1.0 / self.n**2))
         if not self.cond_max > 1.0:
             raise ParameterError("cond_max must exceed 1")
         if not self.min_gap_target > 0.0:

@@ -9,11 +9,17 @@ the family both ways (family members project into the kernel; kernel
 elements are reproduced by least-squares parameter fits). This path
 shares no code with the family construction beyond the basis helpers,
 which is the point: it is a desk-scale verifier, capped at n <= 32.
+
+Costs: coordinates are read and written by index, so the request path
+never forms the (n^2, n, n) basis tensor. The operator is assembled from
+its about 4 n^3 nonzeros into a dense n^2 x n^2 real array, O(n^4)
+memory; its SVD, O(n^6) time, is the one expensive step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -24,26 +30,38 @@ from .spectral import SpectralData
 
 ORACLE_DIM_CAP = 32
 RANK_GAP_WARN = 10.0
+_INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
 @dataclass(frozen=True)
 class HermitianBasis:
     """Trace-orthonormal basis of the real vector space of hermitian matrices.
 
-    Ordering: diagonal units first, then for each index pair k < l the
-    symmetric element (e_k e_l^T + e_l e_k^T)/sqrt(2) followed by the
-    antisymmetric element i (e_k e_l^T - e_l e_k^T)/sqrt(2).
+    Ordering: diagonal units first, then for each index pair k < l (in
+    ``np.triu_indices`` order) the symmetric element
+    (e_k e_l^T + e_l e_k^T)/sqrt(2) followed by the antisymmetric element
+    i (e_k e_l^T - e_l e_k^T)/sqrt(2). The oracle works by index on this
+    ordering; ``elements`` spells the basis out as an (n*n, n, n) array.
     """
 
     n: int
-    elements: np.ndarray  # shape (n*n, n, n)
 
     def __post_init__(self):
-        lock(self.elements)
+        if self.n < 1:
+            raise DimensionError("basis dimension must be >= 1")
+        if self.n > ORACLE_DIM_CAP:
+            raise EnumerationCapError(
+                f"dense solve is capped at n <= {ORACLE_DIM_CAP}, got n = {self.n}"
+            )
 
     @property
     def dim(self) -> int:
-        return self.elements.shape[0]
+        return self.n * self.n
+
+    @cached_property
+    def elements(self) -> np.ndarray:
+        """The basis matrices, shape (n*n, n, n), built on first access."""
+        return lock(matrix_from_coords(self, np.eye(self.dim)))
 
 
 @dataclass(frozen=True)
@@ -81,58 +99,92 @@ class FamilyKernelMatch:
 
 
 def hermitian_basis(n: int) -> HermitianBasis:
-    """Build the n^2-element trace-orthonormal hermitian basis."""
-    if n < 1:
-        raise DimensionError("basis dimension must be >= 1")
-    elems = np.zeros((n * n, n, n), dtype=np.complex128)
-    idx = 0
-    for k in range(n):
-        elems[idx, k, k] = 1.0
-        idx += 1
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    for k in range(n):
-        for l in range(k + 1, n):
-            elems[idx, k, l] = inv_sqrt2
-            elems[idx, l, k] = inv_sqrt2
-            idx += 1
-            elems[idx, k, l] = 1.0j * inv_sqrt2
-            elems[idx, l, k] = -1.0j * inv_sqrt2
-            idx += 1
-    return HermitianBasis(n=n, elements=elems)
+    """The n^2-element trace-orthonormal hermitian basis (1 <= n <= ORACLE_DIM_CAP)."""
+    return HermitianBasis(n=n)
+
+
+def _check_size(basis: HermitianBasis, n: int) -> None:
+    if basis.n != n:
+        raise DimensionError(f"basis dimension {basis.n} does not match matrix {n}")
 
 
 def hermitian_coords(basis: HermitianBasis, M) -> np.ndarray:
-    """Real coordinates of a hermitian matrix: Tr(E_a M) per basis element."""
+    """Real coordinates Re Tr(E_a M), read by index; M may be a stack (..., n, n).
+
+    For hermitian M these are its expansion coefficients over the basis.
+    """
     M = np.asarray(M, dtype=np.complex128)
-    return np.einsum("aij,ji->a", basis.elements, M).real
+    n = basis.n
+    _check_size(basis, M.shape[-1])
+    k, l = np.triu_indices(n, 1)
+    upper, lower = M[..., k, l], M[..., l, k]
+    x = np.empty(M.shape[:-2] + (n * n,))
+    x[..., :n] = M.diagonal(axis1=-2, axis2=-1).real
+    x[..., n::2] = (upper.real + lower.real) * _INV_SQRT2
+    x[..., n + 1 :: 2] = (upper.imag - lower.imag) * _INV_SQRT2
+    return x
 
 
 def matrix_from_coords(basis: HermitianBasis, x) -> np.ndarray:
-    """Reassemble sum_a x_a E_a (exactly hermitian for real coordinates)."""
+    """Reassemble sum_a x_a E_a, exactly hermitian; x may be a stack (..., n*n)."""
     x = np.asarray(x, dtype=np.float64)
-    return np.tensordot(x, basis.elements, axes=1)
+    n = basis.n
+    k, l = np.triu_indices(n, 1)
+    M = np.zeros(x.shape[:-1] + (n, n), dtype=np.complex128)
+    M[..., np.arange(n), np.arange(n)] = x[..., :n]
+    z = (x[..., n::2] + 1j * x[..., n + 1 :: 2]) * _INV_SQRT2
+    M[..., k, l] = z
+    M[..., l, k] = z.conj()
+    return M
 
 
 def intertwining_operator_matrix(H, basis: HermitianBasis | None = None) -> np.ndarray:
-    """Real matrix of M -> H^dagger M - M H in hermitian coordinates.
+    """Real matrix of M -> -i (H^dagger M - M H) in hermitian coordinates.
 
-    The image of a hermitian matrix is anti-hermitian, i.e. i times a
-    hermitian matrix, so column b holds the coordinates of
-    H^dagger E_b - E_b H expanded over {i E_a}. Metrics compatible with H
-    are exactly the nullspace vectors.
+    The image of a hermitian matrix is hermitian again, so column b holds
+    the coordinates of -i (H^dagger E_b - E_b H). Metrics compatible with
+    H are exactly the nullspace vectors.
+
+    Assembled by index: E_b has at most two nonzero entries, and the image
+    of a unit matrix e_r e_c^T is column r of -i H^dagger placed in column
+    c plus row c of i H placed in row r. So L has about 4 n^3 nonzeros,
+    which one ``np.bincount`` adds into a zeroed n^2 x n^2 array: O(n^4)
+    memory and no product over the (n^2, n, n) basis tensor.
     """
     H = as_square_matrix(H, name="H")
     n = H.shape[0]
     if basis is None:
         basis = hermitian_basis(n)
-    if basis.n != n:
-        raise DimensionError(f"basis dimension {basis.n} does not match matrix {n}")
-    E = basis.elements
-    C = np.matmul(H.conj().T, E) - np.matmul(E, H)  # (n^2, n, n)
-    Ef = E.reshape(E.shape[0], -1)
-    Cf = np.transpose(C, (0, 2, 1)).reshape(C.shape[0], -1)
-    # Tr(E_a C_b) is purely imaginary; its imaginary part is the {i E_a} coordinate.
-    return (Ef @ Cf.T).imag
+    _check_size(basis, n)
+    N = n * n
+    d = np.arange(n)
+    k, l = np.triu_indices(n, 1)
+    sym = n + 2 * np.arange(k.size)
+    # the nonzero entries val at (row, col) of each basis element E_b
+    b = np.concatenate([d, sym, sym, sym + 1, sym + 1])
+    row = np.concatenate([d, k, l, k, l])
+    col = np.concatenate([d, l, k, l, k])
+    c = np.full(k.size, _INV_SQRT2)
+    val = np.concatenate([np.ones(n), c, c, 1j * c, -1j * c])[:, None]
+    # their images: n entries in column col, then n entries in row row,
+    # at flat positions p * n + q
+    img = np.concatenate([-1j * val * H.conj()[row], 1j * val * H[col]])
+    at = np.concatenate([col[:, None] + n * d, n * row[:, None] + d])
+    target = np.concatenate([b, b])[:, None]
+    # read every image entry as hermitian_coords does: Re into the diagonal
+    # or symmetric coordinate, Im into the antisymmetric one
+    re_slot = np.empty((n, n), dtype=np.intp)
+    re_slot[d, d] = d
+    re_slot[k, l] = re_slot[l, k] = sym
+    im_slot = re_slot + 1
+    im_slot[d, d] = 0  # weight 0 there
+    re_w = np.full((n, n), _INV_SQRT2)
+    re_w[d, d] = 1.0
+    im_w = np.zeros((n, n))
+    im_w[k, l], im_w[l, k] = _INV_SQRT2, -_INV_SQRT2
+    flat = np.concatenate([re_slot.take(at) * N + target, im_slot.take(at) * N + target])
+    weights = np.concatenate([re_w.take(at) * img.real, im_w.take(at) * img.imag])
+    return np.bincount(flat.ravel(), weights=weights.ravel(), minlength=N * N).reshape(N, N)
 
 
 def solution_space(H, rank_tol: float = 1e-8, basis: HermitianBasis | None = None) -> KernelReport:
@@ -145,22 +197,13 @@ def solution_space(H, rank_tol: float = 1e-8, basis: HermitianBasis | None = Non
     class, but useful for diagnostics) yield larger kernels.
     """
     H = as_square_matrix(H, name="H")
-    n = H.shape[0]
-    if n > ORACLE_DIM_CAP:
-        raise EnumerationCapError(
-            f"dense solve is capped at n <= {ORACLE_DIM_CAP}, got n = {n}"
-        )
     if basis is None:
-        basis = hermitian_basis(n)
+        basis = hermitian_basis(H.shape[0])
     L = intertwining_operator_matrix(H, basis=basis)
     _, s, vt = np.linalg.svd(L)
     smax = float(s[0]) if s.size else 0.0
-    keep = s <= rank_tol * smax
-    dim = int(np.sum(keep))
-    kernel_coords = vt[vt.shape[0] - dim :] if dim else np.zeros((0, n * n))
-    kernel = np.stack([matrix_from_coords(basis, x) for x in kernel_coords]) if dim else (
-        np.zeros((0, n, n), dtype=np.complex128)
-    )
+    dim = int(np.sum(s <= rank_tol * smax))
+    kernel = matrix_from_coords(basis, vt[vt.shape[0] - dim :])
     s_asc = s[::-1].copy()
     if dim == 0 or dim == s_asc.size or s_asc[dim - 1] == 0.0:
         gap = np.inf
@@ -180,26 +223,24 @@ def _family_design_matrix(sd: SpectralData, basis: HermitianBasis) -> np.ndarray
 
     Directions are d M / d mu_i and the two real directions of each tau_s,
     i.e. S^dagger B S for B a diagonal unit, a pair sigma_x block or a
-    pair sigma_y block.
+    pair sigma_y block. S^dagger e_i e_j^T S is the outer product of the
+    conjugate of row i of S with row j.
     """
-    n = sd.n
-    cols = []
-    Sd = sd.S.conj().T
-    for i in range(sd.r):
-        B = np.zeros((n, n), dtype=np.complex128)
-        B[i, i] = 1.0
-        cols.append(hermitian_coords(basis, Sd @ B @ sd.S))
-    for s_idx in range(sd.p):
-        k = sd.r + 2 * s_idx
-        Bx = np.zeros((n, n), dtype=np.complex128)
-        Bx[k, k + 1] = 1.0
-        Bx[k + 1, k] = 1.0
-        cols.append(hermitian_coords(basis, Sd @ Bx @ sd.S))
-        By = np.zeros((n, n), dtype=np.complex128)
-        By[k, k + 1] = -1.0j
-        By[k + 1, k] = 1.0j
-        cols.append(hermitian_coords(basis, Sd @ By @ sd.S))
-    return np.stack(cols, axis=1)
+    S = sd.S
+
+    def outer(i, j):
+        return S[i].conj()[:, :, None] * S[j][:, None, :]
+
+    k = sd.r + 2 * np.arange(sd.p)
+    up, down = outer(k, k + 1), outer(k + 1, k)
+    pairs = np.stack([up + down, -1j * (up - down)], axis=1).reshape(2 * sd.p, sd.n, sd.n)
+    reals = outer(np.arange(sd.r), np.arange(sd.r))
+    return hermitian_coords(basis, np.concatenate([reals, pairs])).T
+
+
+def _max_relative_defect(defects: np.ndarray, vectors: np.ndarray, axis: int) -> float:
+    ratios = np.linalg.norm(defects, axis=axis) / np.linalg.norm(vectors, axis=axis)
+    return float(np.max(ratios, initial=0.0))
 
 
 def family_vs_kernel(
@@ -215,9 +256,10 @@ def family_vs_kernel(
     Both inclusions are tested: random family members must project into
     the kernel span with negligible defect, and every kernel basis
     element must be reproduced by a least-squares fit of the family
-    parameters. A kernel dimension different from r + 2p aborts with an
-    error, since the family then cannot possibly be complete. ``basis``,
-    if given, must be ``hermitian_basis(sd.n)``, e.g. the one passed to
+    parameters (one ``lstsq`` over all of them). A kernel dimension
+    different from r + 2p aborts with an error, since the family then
+    cannot possibly be complete. ``basis``, if given, must be
+    ``hermitian_basis(sd.n)``, e.g. the one passed to
     :func:`solution_space`.
     """
     from .generators import random_parameters  # deferred: generators imports metrics
@@ -230,25 +272,18 @@ def family_vs_kernel(
         )
     if basis is None:
         basis = hermitian_basis(n)
-    if basis.n != n:
-        raise DimensionError(f"basis dimension {basis.n} does not match matrix {n}")
-    K = np.stack([hermitian_coords(basis, B) for B in report.basis])
+    _check_size(basis, n)
+    K = hermitian_coords(basis, report.basis)  # (n, n^2), orthonormal rows
 
-    rng_seed = seed
-    max_proj = 0.0
-    for k in range(n_samples):
-        params = random_parameters(sd.r, sd.p, seed=rng_seed + k)
-        x = hermitian_coords(basis, build_M(sd, params).M)
-        defect = np.linalg.norm(x - K.T @ (K @ x)) / np.linalg.norm(x)
-        max_proj = max(max_proj, float(defect))
+    members = [
+        build_M(sd, random_parameters(sd.r, sd.p, seed=seed + k)).M for k in range(n_samples)
+    ]
+    X = hermitian_coords(basis, np.reshape(members, (n_samples, n, n)))
+    max_proj = _max_relative_defect(X - (X @ K.T) @ K, X, axis=1)
 
     A = _family_design_matrix(sd, basis)
-    max_rec = 0.0
-    for B in report.basis:
-        y = hermitian_coords(basis, B)
-        c, *_ = np.linalg.lstsq(A, y, rcond=None)
-        defect = np.linalg.norm(A @ c - y) / np.linalg.norm(y)
-        max_rec = max(max_rec, float(defect))
+    c, *_ = np.linalg.lstsq(A, K.T, rcond=None)
+    max_rec = _max_relative_defect(A @ c - K.T, K.T, axis=0)
 
     return FamilyKernelMatch(
         max_projection_defect=max_proj,

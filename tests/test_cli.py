@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from itertools import product
 
 import numpy as np
@@ -518,6 +519,16 @@ def test_generate_exhaustion_exit_7(capsys, tmp_path, monkeypatch):
     assert doc["error"]["type"] == "GenerationError"
 
 
+def test_generate_beyond_n_90(capsys, tmp_path):
+    # a fixed 0.01 relative gap is out of reach for 48 real eigenvalues in [-1, 1]
+    code, doc, _ = run(
+        capsys, "generate", "--n", "96", "--r", "48", "--p", "24", "--seed", "5",
+        "--out", str(tmp_path / "x"),
+    )
+    assert code == 0
+    assert doc["n"] == 96 and doc["residual"] <= 1e-9
+
+
 def test_verify_golden(capsys, tmp_path, rot_file, diag_file):
     sigz = write_matrix_json(tmp_path / "sigz.json", SIGMA_Z)
     sigx = write_matrix_json(tmp_path / "sigx.json", SIGMA_X)
@@ -560,6 +571,19 @@ def test_verify_nonhermitian_candidate(capsys, tmp_path, diag_file):
     code, doc, _ = run(capsys, "verify", diag_file, cand)
     assert code == 8
     assert doc["hermiticity_defect"] > 1e-10
+
+
+def test_verify_entries_near_overflow(capsys, tmp_path):
+    # H^dagger M and M + M^dagger overflow unscaled; the figures are scale-free
+    H = write_matrix_json(tmp_path / "h.json", np.array([[1e308, 5e307], [-5e307, 1e308]]))
+    M = write_matrix_json(tmp_path / "m.json", np.diag([1e308, -1e308]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "verify", H, M, parse=False)
+    assert code == 0
+    assert '"residual": 0.0' in out
+    assert json.loads(out)["inertia"] == [1, 1, 0]
+    assert err == ""
 
 
 # ------------------------------------------------------------------- misc

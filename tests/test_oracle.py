@@ -1,14 +1,17 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import DIAG12, ROT2, make_instance
-from phm import decompose, random_hermitian
+from conftest import DIAG12, ROT2, make_instance, write_matrix_json
+from phm import cli, decompose, random_hermitian
 from phm.errors import DimensionError, EnumerationCapError, FamilyMismatchError
 from phm.matrices import SIGMA_X, SIGMA_Y, SIGMA_Z
 from phm.oracle import (
+    _family_design_matrix,
     family_vs_kernel,
     hermitian_basis,
     hermitian_coords,
@@ -125,3 +128,94 @@ def test_dimension_cap():
 def test_basis_dimension_mismatch():
     with pytest.raises(DimensionError):
         intertwining_operator_matrix(ROT2, basis=hermitian_basis(3))
+
+
+# ------------------------------------------- index path against the tensor
+
+
+def _tensor_operator_matrix(H, basis):
+    """Reference assembly over the (n^2, n, n) basis tensor: Im Tr(E_a C_b)."""
+    E = basis.elements
+    C = np.matmul(H.conj().T, E) - np.matmul(E, H)
+    Ef = E.reshape(E.shape[0], -1)
+    Cf = np.transpose(C, (0, 2, 1)).reshape(C.shape[0], -1)
+    return (Ef @ Cf.T).imag
+
+
+def _complex_gaussian(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@settings(deadline=None, max_examples=40)
+@given(n=st.integers(1, 6), seed=st.integers(0, 10**6))
+def test_index_path_matches_basis_tensor(n, seed):
+    rng = np.random.default_rng(seed)
+    basis = hermitian_basis(n)
+    E = basis.elements
+    H = _complex_gaussian(rng, n, n)  # admissible or not: L is defined for any H
+    L = intertwining_operator_matrix(H, basis=basis)
+    assert np.max(np.abs(L - _tensor_operator_matrix(H, basis))) <= 1e-14 * np.linalg.norm(H)
+    X = _complex_gaussian(rng, 3, n, n)  # not hermitian
+    want = np.stack([np.einsum("aij,ji->a", E, M).real for M in X])
+    assert_allclose(hermitian_coords(basis, X), want, rtol=0, atol=1e-14 * np.abs(X).max())
+    x = rng.standard_normal((3, n * n))
+    want = np.stack([np.tensordot(v, E, axes=1) for v in x])
+    assert_allclose(matrix_from_coords(basis, x), want, rtol=0, atol=1e-15 * np.abs(x).max())
+
+
+def _loop_design_matrix(sd, basis):
+    """The family directions S^dagger B S, one dense product per column."""
+    n = sd.n
+    cols = []
+    Sd = sd.S.conj().T
+    for i in range(sd.r):
+        B = np.zeros((n, n), dtype=np.complex128)
+        B[i, i] = 1.0
+        cols.append(hermitian_coords(basis, Sd @ B @ sd.S))
+    for s_idx in range(sd.p):
+        k = sd.r + 2 * s_idx
+        Bx = np.zeros((n, n), dtype=np.complex128)
+        Bx[k, k + 1] = 1.0
+        Bx[k + 1, k] = 1.0
+        cols.append(hermitian_coords(basis, Sd @ Bx @ sd.S))
+        By = np.zeros((n, n), dtype=np.complex128)
+        By[k, k + 1] = -1.0j
+        By[k + 1, k] = 1.0j
+        cols.append(hermitian_coords(basis, Sd @ By @ sd.S))
+    return np.stack(cols, axis=1)
+
+
+@pytest.mark.parametrize("n,r,p", [(1, 1, 0), (2, 0, 1), (5, 1, 2), (6, 6, 0), (8, 2, 3)])
+def test_family_design_matrix_matches_loop(n, r, p):
+    inst = make_instance(n, r, p, seed=21)
+    basis = hermitian_basis(n)
+    A = _family_design_matrix(inst.sd, basis)
+    want = _loop_design_matrix(inst.sd, basis)
+    assert A.shape == (n * n, n)
+    assert_allclose(A, want, rtol=0, atol=1e-13 * np.abs(want).max())
+
+
+def test_oracle_request_never_builds_basis_tensor(capsys, monkeypatch, tmp_path):
+    built = []
+
+    def recording_basis(n):
+        built.append(hermitian_basis(n))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "hermitian_basis", recording_basis)
+    path = write_matrix_json(tmp_path / "h.json", make_instance(6, 2, 2, seed=4).H)
+    assert cli.main(["oracle", path]) == 0
+    assert json.loads(capsys.readouterr().out)["kernel_dimension"] == 6
+    assert len(built) == 1
+    assert "elements" not in built[0].__dict__
+
+
+def test_oracle_cap_applies_before_decomposition(capsys, monkeypatch, tmp_path):
+    def fail(*args, **kwargs):
+        raise AssertionError("decomposed an oversized matrix")
+
+    monkeypatch.setattr(cli, "eigendecompose", fail)
+    path = write_matrix_json(tmp_path / "big.json", np.eye(33))
+    assert cli.main(["oracle", path]) == 6
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"]["message"] == "dense solve is capped at n <= 32, got n = 33"

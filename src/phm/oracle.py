@@ -148,8 +148,8 @@ def intertwining_operator_matrix(H, basis: HermitianBasis | None = None) -> np.n
     Assembled by index: E_b has at most two nonzero entries, and the image
     of a unit matrix e_r e_c^T is column r of -i H^dagger placed in column
     c plus row c of i H placed in row r. So L has about 4 n^3 nonzeros,
-    which one ``np.bincount`` adds into a zeroed n^2 x n^2 array: O(n^4)
-    memory and no product over the (n^2, n, n) basis tensor.
+    which one ``np.bincount`` adds into a zeroed n^2 x n^2 array, in
+    O(n^4) memory.
     """
     H = as_square_matrix(H, name="H")
     n = H.shape[0]

@@ -30,6 +30,9 @@ positive number (exit 5 otherwise).
 stdout is always strict JSON: a number that is NaN or infinite (say, a
 figure that overflowed on entries near 1e308) is written as null. The
 exit code is the one the command gives anyway.
+
+main builds the parser of the named subcommand only; any other argv (none,
+-h, an unknown command) gets all seven, so help and usage errors read the same.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ from .errors import (
     PhmError,
 )
 from .generators import GeneratorConfig, generate_via_observable, generate_via_spectrum
-from .matrices import hermiticity_defect, hermitize
+from .matrices import hermiticity_defect, hermitize, unit_scaled
 from .metrics import (
     TWO_PI,
     CanonicalClass,
@@ -393,7 +396,7 @@ def _emit_metric_result(M: np.ndarray, inertia, residual: float) -> int:
             "residual": float(residual),
         }
     )
-    if residual > RESIDUAL_GATE:
+    if not residual <= RESIDUAL_GATE:  # a NaN residual fails too
         print(
             f"warning: residual {residual:.3e} exceeds gate {RESIDUAL_GATE:g}",
             file=sys.stderr,
@@ -571,21 +574,6 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return EXIT_OK if residual <= RESIDUAL_GATE else EXIT_GATE
 
 
-def _unit_scaled(A: np.ndarray) -> np.ndarray:
-    """A times the power of two that puts its largest |Re| or |Im| in [0.5, 1).
-
-    Scaling by a power of two is exact, so scale-free figures computed
-    from the result are the same bits as from A, without overflowing
-    near 1e308.
-    """
-    top = max(float(np.max(np.abs(A.real))), float(np.max(np.abs(A.imag))))
-    shift = -math.frexp(top)[1]
-    out = np.empty_like(A)
-    out.real = np.ldexp(A.real, shift)
-    out.imag = np.ldexp(A.imag, shift)
-    return out
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
     H = read_matrix_file(args.path_h)
     M = read_matrix_file(args.path_m)
@@ -594,8 +582,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
             f"size mismatch: H is {H.shape[0]}x{H.shape[0]} but M is "
             f"{M.shape[0]}x{M.shape[0]}"
         )
-    # residual, hermiticity defect and inertia are scale-free
-    H, M = _unit_scaled(H), _unit_scaled(M)
+    # the hermiticity defect and inertia are scale-free (the residual scales itself)
+    M = unit_scaled(M)
     defect = hermiticity_defect(M)
     residual = intertwining_residual(H, M, check_hermitian=False)
     inertia = inertia_of_matrix(hermitize(M))
@@ -631,52 +619,36 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_INPUT)
 
 
-def _add_tolerance_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--eps-real", type=float, default=None, help="real-eigenvalue tolerance (relative)")
-    sub.add_argument("--eps-pair", type=float, default=None, help="conjugate-pair matching tolerance (relative)")
-    sub.add_argument("--gap-tol", type=float, default=None, help="degeneracy gap tolerance (relative)")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="phm",
-        description="Construct, canonicalize, enumerate and verify hermitian "
-        "metrics M with H^dagger M = M H for a given matrix H.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("analyze", help="classify the spectrum and report family shape")
+def _path_argument(p: argparse.ArgumentParser) -> None:
     p.add_argument("path", help="matrix JSON file")
-    _add_tolerance_flags(p)
-    p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("metric", help="build the metric for given family parameters")
-    p.add_argument("path", help="matrix JSON file")
+
+def _analyze_arguments(p: argparse.ArgumentParser) -> None:
+    _path_argument(p)
+    p.add_argument("--eps-real", type=float, default=None, help="real-eigenvalue tolerance (relative)")
+    p.add_argument("--eps-pair", type=float, default=None, help="conjugate-pair matching tolerance (relative)")
+    p.add_argument("--gap-tol", type=float, default=None, help="degeneracy gap tolerance (relative)")
+
+
+def _metric_arguments(p: argparse.ArgumentParser) -> None:
+    _path_argument(p)
     p.add_argument("--mu", default=None, help="comma-separated real parameters, one per real eigenvalue")
     p.add_argument("--tau", default=None, help="comma-separated a+bi parameters, one per conjugate pair")
-    p.set_defaults(func=cmd_metric)
 
-    p = sub.add_parser("canonical", help="build the canonical (unitary-gauge) metric of a class")
-    p.add_argument("path", help="matrix JSON file")
+
+def _canonical_arguments(p: argparse.ArgumentParser) -> None:
+    _path_argument(p)
     p.add_argument("--signs", default=None, help="comma-separated +/- per real eigenvalue")
     p.add_argument("--n", default=None, help="comma-separated orientation bits (0/1) per pair")
     p.add_argument("--theta", default=None, help="comma-separated phases in radians per pair")
-    p.set_defaults(func=cmd_canonical)
 
-    p = sub.add_parser("enumerate", help="list the discrete metric classes with inertias")
-    p.add_argument("path", help="matrix JSON file")
-    p.add_argument(
-        "--no-mod-global",
-        action="store_true",
-        help="list all 2**(r+p) sign assignments instead of one per global-flip orbit",
-    )
-    p.set_defaults(func=cmd_enumerate)
 
-    p = sub.add_parser("oracle", help="solve the intertwining equation by brute force and compare")
-    p.add_argument("path", help="matrix JSON file")
-    p.set_defaults(func=cmd_oracle)
+def _enumerate_arguments(p: argparse.ArgumentParser) -> None:
+    _path_argument(p)
+    p.add_argument("--no-mod-global", action="store_true", help="list all 2**(r+p) sign assignments instead of one per global-flip orbit")
 
-    p = sub.add_parser("generate", help="generate a random admissible instance with a certificate metric")
+
+def _generate_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, default=None, help="matrix dimension")
     p.add_argument("--r", type=int, default=None, help="number of real eigenvalues")
     p.add_argument("--p", type=int, default=None, help="number of conjugate pairs")
@@ -685,19 +657,47 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("spectrum", "observable"), default="spectrum")
     p.add_argument("--metric", default=None, help="metric JSON file (observable mode input)")
     p.add_argument("--out", required=True, help="output path prefix; writes PREFIX_H.json etc.")
-    p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("verify", help="check a candidate metric against a matrix")
+
+def _verify_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("path_h", help="matrix JSON file (H)")
     p.add_argument("path_m", help="candidate metric JSON file (M)")
-    p.set_defaults(func=cmd_verify)
 
+
+# name: (help, argument adder, handler), in the order `phm --help` lists them
+_COMMANDS = {
+    "analyze": ("classify the spectrum and report family shape", _analyze_arguments, cmd_analyze),
+    "metric": ("build the metric for given family parameters", _metric_arguments, cmd_metric),
+    "canonical": ("build the canonical (unitary-gauge) metric of a class", _canonical_arguments, cmd_canonical),
+    "enumerate": ("list the discrete metric classes with inertias", _enumerate_arguments, cmd_enumerate),
+    "oracle": ("solve the intertwining equation by brute force and compare", _path_argument, cmd_oracle),
+    "generate": ("generate a random admissible instance with a certificate metric", _generate_arguments, cmd_generate),
+    "verify": ("check a candidate metric against a matrix", _verify_arguments, cmd_verify),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The phm parser; given ``command``, with that subcommand's parser only."""
+    parser = _Parser(
+        prog="phm",
+        description="Construct, canonicalize, enumerate and verify hermitian "
+        "metrics M with H^dagger M = M H for a given matrix H.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments, handler) in _COMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=help_text)
+            add_arguments(p)
+            p.set_defaults(func=handler)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # none, -h or a typo gets the full parser, which lists the commands
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except PhmError as exc:

@@ -23,6 +23,8 @@ from .spectral import SpectralData, assert_nondegenerate
 
 
 def _rng(seed: int) -> np.random.Generator:
+    if seed < 0:
+        raise ParameterError(f"seed must be a non-negative integer, got {seed}")
     return np.random.Generator(np.random.Philox(seed))
 
 

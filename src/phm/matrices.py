@@ -7,6 +7,8 @@ helpers centralize validation, hermitian symmetrization and the couple of
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DimensionError, NonHermitianError
@@ -50,6 +52,20 @@ def hermiticity_defect(a: np.ndarray) -> float:
     if na == 0.0:
         return 0.0
     return frobenius(a - a.conj().T) / na
+
+
+def unit_scaled(a: np.ndarray) -> np.ndarray:
+    """``a`` times the power of two that puts its largest |Re| or |Im| in [0.5, 1).
+
+    ``ldexp`` scales exactly, so scale-free figures computed from the
+    result are the same bits as from ``a``, without overflowing near 1e308.
+    """
+    top = max(float(np.max(np.abs(a.real))), float(np.max(np.abs(a.imag))))
+    shift = -math.frexp(top)[1]
+    out = np.empty_like(a)
+    out.real = np.ldexp(a.real, shift)
+    out.imag = np.ldexp(a.imag, shift)
+    return out
 
 
 def require_hermitian(a: np.ndarray, tol: float = 1e-10, name: str = "matrix") -> np.ndarray:

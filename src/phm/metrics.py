@@ -39,6 +39,7 @@ from .matrices import (
     hermiticity_defect,
     lock,
     require_hermitian,
+    unit_scaled,
 )
 from .spectral import SpectralData
 
@@ -173,10 +174,12 @@ def intertwining_residual(
     Returns ||H^dagger M - M H||_F / (||H||_F ||M||_F), the figure of
     merit for M being a metric compatible with H. ``check_hermitian=False``
     skips the hermiticity gate (used when diagnosing arbitrary candidate
-    matrices).
+    matrices). Both figures are scale-free, so they are computed on
+    power-of-two scaled copies of H and M: the same bits, without
+    overflow for entries near 1e308 or parameters near 1e200.
     """
-    H = as_square_matrix(H, name="H")
-    M = as_square_matrix(M, name="M")
+    H = unit_scaled(as_square_matrix(H, name="H"))
+    M = unit_scaled(as_square_matrix(M, name="M"))
     if H.shape != M.shape:
         raise DimensionError(f"H has shape {H.shape} but M has shape {M.shape}")
     if check_hermitian:

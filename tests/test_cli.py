@@ -1,6 +1,9 @@
+import io
 import json
 import math
+import os
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from itertools import product
 
 import numpy as np
@@ -8,10 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import DIAG12, ROT2, write_matrix_json
+from conftest import DIAG12, ROT2, make_instance, write_matrix_json
 from phm.cli import (
     _matrix_doc,
     _write_matrix_file,
+    build_parser,
     main,
     parse_complex_literal,
     parse_real_literal,
@@ -668,3 +672,170 @@ def test_usage_error_is_json(capsys):
 def test_stdout_single_json_document(capsys, rot_file):
     _, text, _ = run(capsys, "analyze", rot_file, parse=False)
     json.loads(text)  # the whole stream parses as one document
+
+
+def test_metric_huge_parameters_keep_a_finite_residual(capsys, tmp_path):
+    # |M| near 1e200 overflowed the unscaled norms into a NaN residual, which
+    # passed the gate as "residual": null
+    path = write_matrix_json(tmp_path / "h.json", make_instance(3, 1, 1, seed=3).H)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, text, err = run(
+            capsys, "metric", path, "--mu=1e200", "--tau=1e200+1e200i", parse=False
+        )
+    assert code == 0
+    residual = _strict_loads(text)["residual"]
+    assert residual is not None and residual <= 1e-9
+    assert err == ""
+
+
+@pytest.mark.parametrize("mode", ["spectrum", "observable"])
+def test_generate_negative_seed_exits_5(capsys, tmp_path, mode):
+    metric = write_matrix_json(tmp_path / "m.json", SIGMA_Z)
+    code, text, err = run(
+        capsys, "generate", "--mode", mode, "--n", "2", "--r", "2", "--p", "0",
+        "--metric", metric, "--seed", "-1", "--out", str(tmp_path / "x"), parse=False,
+    )
+    assert code == 5
+    assert _strict_loads(text)["error"]["type"] == "ParameterError"
+    assert "Traceback" not in err
+    assert not list(tmp_path.glob("x_*"))
+
+
+# ---------------------------------------------- one subcommand's parser
+
+
+COMMANDS = ("analyze", "metric", "canonical", "enumerate", "oracle", "generate", "verify")
+
+
+def _help_text(capsys, parser, command):
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args([command, "--help"])
+    assert exc.value.code == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_one_command_parser_help_matches_full(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    full = _help_text(capsys, build_parser(), command)
+    assert full.startswith(f"usage: phm {command} ")
+    assert _help_text(capsys, build_parser(command), command) == full
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "h.json"],
+        ["analyze", "h.json", "--eps-real", "1e-6", "--eps-pair=2e-7", "--gap-tol", "1e-3"],
+        ["metric", "h.json", "--mu", "1,-2", "--tau=0.5-1e-2i"],
+        ["metric", "h.json"],
+        ["canonical", "h.json", "--signs", "+,-", "--n", "0", "--theta", "1.5"],
+        ["enumerate", "h.json"],
+        ["enumerate", "h.json", "--no-mod-global"],
+        ["oracle", "h.json"],
+        ["generate", "--n", "4", "--r", "2", "--p", "1", "--seed", "1", "--out", "x"],
+        ["generate", "--mode", "observable", "--metric", "m.json", "--seed", "3",
+         "--out", "y", "--cond-max", "10"],
+        ["verify", "h.json", "m.json"],
+    ],
+)
+def test_one_command_parser_parses_like_full(argv):
+    assert vars(build_parser(argv[0]).parse_args(argv)) == vars(build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["no-such-command"],
+        ["--bogus"],
+        ["analyze"],
+        ["metric", "h.json", "--bogus"],
+        ["generate", "--n", "x", "--seed", "1", "--out", "x"],
+        ["generate", "--mode", "bad", "--seed", "1", "--out", "x"],
+        ["generate", "--n", "2", "--out", "x"],
+        ["generate", "--n", "2", "--seed", "1"],
+        ["verify", "h.json"],
+        ["enumerate", "h.json", "extra"],
+    ],
+)
+def test_usage_errors_match_full_parser(capsys, monkeypatch, argv):
+    import phm.cli
+
+    selective = run(capsys, *argv, parse=False)
+    full_parser = phm.cli.build_parser
+    monkeypatch.setattr(phm.cli, "build_parser", lambda command=None: full_parser())
+    assert run(capsys, *argv, parse=False) == selective
+    assert selective[0] == 1
+    assert _strict_loads(selective[1])["error"]["type"] == "UsageError"
+
+
+# ------------------------------------------------------- CLI contract
+
+
+_INT = st.integers(-2, 12).map(str)
+_FILE = st.sampled_from(("rot.json", "diag.json"))
+_REAL = st.sampled_from(("0.5", "1e-6", "1e200", "-1e-300", "nan", "inf"))
+_JUNK = st.sampled_from(("x", "", "-", "--bogus", "1+1i", "1e200+1e200i", "+,-", "0,1", "1,-1"))
+_ANY = st.one_of(_INT, _FILE, _REAL, _JUNK)
+# each command's positionals, and its flags with the values each mostly takes
+_POSITIONALS = {"analyze": 1, "metric": 1, "canonical": 1, "enumerate": 1, "oracle": 1, "verify": 2}
+_FLAGS = {
+    "analyze": {"--eps-real": _REAL, "--eps-pair": _REAL, "--gap-tol": _REAL},
+    "metric": {"--mu": st.sampled_from(("1", "1,-1", "1e200", "1e200,-1e200")),
+               "--tau": st.sampled_from(("1", "1+1i", "1e200+1e200i"))},
+    "canonical": {"--signs": st.sampled_from(("+", "+,-")), "--n": st.sampled_from(("0", "1")),
+                  "--theta": _REAL},
+    "enumerate": {"--no-mod-global": None},
+    "generate": {
+        "--n": _INT, "--r": _INT, "--p": _INT, "--seed": _INT, "--cond-max": _REAL,
+        "--mode": st.sampled_from(("spectrum", "observable")), "--metric": _FILE,
+        "--out": st.just("out"),
+    },
+}
+
+
+@pytest.fixture(scope="module")
+def contract_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("contract")
+    write_matrix_json(root / "rot.json", ROT2)
+    write_matrix_json(root / "diag.json", DIAG12)
+    return root
+
+
+@settings(deadline=None, max_examples=300)
+@given(data=st.data())
+def test_cli_contract(contract_dir, data):
+    # Every call prints one strict-JSON document, exits with a documented
+    # code and raises no exception; a call that exits 0 says nothing on
+    # stderr and raises no warning. Paths are relative to contract_dir.
+    wild = data.draw(st.booleans())  # then any token may be junk
+
+    def pick(values):
+        return data.draw(st.one_of(values, _ANY) if wild else values)
+
+    command = data.draw(st.sampled_from(COMMANDS + ("bogus",)))
+    argv = [command] + [pick(_FILE) for _ in range(_POSITIONALS.get(command, 0))]
+    for flag, values in _FLAGS.get(command, {}).items():
+        if (flag in ("--seed", "--out") and not wild) or data.draw(st.booleans()):
+            argv += [flag] if values is None else [flag, pick(values)]
+    if wild:
+        argv += data.draw(st.lists(_ANY, max_size=1))
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(contract_dir)
+    try:
+        with redirect_stdout(out), redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    finally:
+        os.chdir(cwd)
+    assert code in range(9), argv
+    _strict_loads(out.getvalue())
+    assert "Traceback" not in err.getvalue(), argv
+    if code == 0:
+        assert err.getvalue() == "" and not caught, (argv, [str(w.message) for w in caught])

@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 
 from conftest import DIAG12, ROT2, make_instance
 from phm import decompose, random_parameters
-from phm.errors import NotSqhError, ParameterError
+from phm.errors import NonHermitianError, NotSqhError, ParameterError
 from phm.matrices import SIGMA_X, SIGMA_Y, SIGMA_Z
 from phm.metrics import (
     CanonicalClass,
@@ -164,6 +164,19 @@ def test_residual_of_nearly_hermitian_metric():
     M = np.eye(2) + 1e-11 * np.array([[0.0, 1.0], [-1.0, 0.0]])
     res = intertwining_residual(H, M)
     assert res == pytest.approx(1e-11 / math.sqrt(5.0), rel=1e-4)
+
+
+def test_residual_is_exactly_scale_free():
+    # power-of-two scaling is exact, so the figure keeps its bits, also where
+    # the unscaled norms of 2**600 M would overflow
+    inst = make_instance(3, 1, 1, seed=11)
+    H, M = inst.H, inst.certificate.M
+    res = intertwining_residual(H, M)
+    assert 0.0 < res <= 1e-14
+    assert intertwining_residual(H, 2.0**600 * M) == res
+    assert intertwining_residual(2.0**-600 * H, M) == res
+    with pytest.raises(NonHermitianError):
+        intertwining_residual(H, 2.0**600 * np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
 
 
 @settings(deadline=None, max_examples=30)

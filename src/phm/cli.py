@@ -29,7 +29,8 @@ positive number (exit 5 otherwise).
 
 stdout is always strict JSON: a number that is NaN or infinite (say, a
 figure that overflowed on entries near 1e308) is written as null. The
-exit code is the one the command gives anyway.
+exit code is the one the command gives anyway. Every document, usage
+errors and written matrix files included, has the same layout.
 
 main builds the parser of the named subcommand only; any other argv (none,
 -h, an unknown command) gets all seven, so help and usage errors read the same.
@@ -96,7 +97,6 @@ RESIDUAL_GATE = 1e-9
 HERMITICITY_GATE = 1e-10
 MATCH_DEFECT_GATE = 1e-8
 MIN_PARAM_MAGNITUDE = 1e-6
-ENUMERATE_CLI_CAP = 20
 
 _EXIT_FOR_ERROR: list[tuple[type, int]] = [
     (FileFormatError, EXIT_INPUT),
@@ -126,33 +126,45 @@ def _nonfinite_to_null(value):
     """``value`` with every NaN or infinite float replaced by None."""
     if isinstance(value, float):
         return value if math.isfinite(value) else None
-    if isinstance(value, dict):
-        return {k: _nonfinite_to_null(v) for k, v in value.items()}
-    if isinstance(value, list):
+    if isinstance(value, list):  # dicts are walked by _encode
         return [_nonfinite_to_null(v) for v in value]
     return value
 
 
-def _format_doc(doc: dict) -> str:
-    # One top-level key per line, nested values compact; plain json.dumps
-    # indentation would spread every [re, im] cell over four lines.
-    parts = []
-    for key, value in doc.items():
-        if isinstance(value, dict) and "entries" in value:
-            rows = ",\n   ".join(_STRICT.encode(r) for r in value["entries"])
-            text = '{"schema": 1, "n": %d, "entries": [\n   %s\n  ]}' % (value["n"], rows)
-        else:
-            text = _STRICT.encode(value)
-        parts.append(f' "{key}": {text}')
-    return "{\n" + ",\n".join(parts) + "\n}"
+class _Lines(list):
+    """A JSON array printed one item per line after ``pad``; ``encoded``
+    items are JSON texts already and are copied as they are."""
+
+    def __init__(self, items, pad: str, encoded: bool = False):
+        super().__init__(items)
+        self.pad = pad
+        self.encoded = encoded
+
+
+def _encode(value, depth: int, encode) -> str:
+    if isinstance(value, _Lines):
+        items = value if value.encoded else map(encode, value)
+        return "[\n%s%s\n%s]" % (value.pad, (",\n" + value.pad).join(items), " " * depth)
+    if isinstance(value, dict):
+        return "{%s}" % ", ".join(f'"{k}": {_encode(v, depth + 1, encode)}' for k, v in value.items())
+    return encode(value)
+
+
+def _format_doc(doc: dict, encode=_STRICT.encode) -> str:
+    # One top-level key per line, nested values compact; json.dump's indent
+    # would spread every [re, im] cell over four lines.
+    return "{\n%s\n}" % ",\n".join(f' "{k}": {_encode(v, 1, encode)}' for k, v in doc.items())
+
+
+def _render(doc: dict) -> str:
+    try:
+        return _format_doc(doc)
+    except ValueError:  # a non-finite float
+        return _format_doc(doc, lambda value: _STRICT.encode(_nonfinite_to_null(value)))
 
 
 def _emit(doc: dict) -> None:
-    try:
-        text = _format_doc(doc)
-    except ValueError:  # a non-finite float
-        text = _format_doc(_nonfinite_to_null(doc))
-    print(text)
+    print(_render(doc))
 
 
 def _emit_error(exc: Exception, extra: dict | None = None) -> None:
@@ -171,13 +183,11 @@ def _complex_pairs(values) -> list:
 
 def _matrix_doc(M: np.ndarray) -> dict:
     M = np.asarray(M, dtype=np.complex128)
-    return {"schema": 1, "n": int(M.shape[0]), "entries": _complex_pairs(M)}
+    return {"schema": 1, "n": int(M.shape[0]), "entries": _Lines(_complex_pairs(M), "   ")}
 
 
 def _write_matrix_file(path: str, M: np.ndarray) -> None:
-    doc = _matrix_doc(M)
-    rows = ",\n   ".join(json.dumps(row) for row in doc["entries"])
-    text = '{\n "schema": 1,\n "n": %d,\n "entries": [\n   %s\n ]\n}\n' % (doc["n"], rows)
+    text = _render(_matrix_doc(M)) + "\n"
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -464,10 +474,6 @@ def cmd_canonical(args: argparse.Namespace) -> int:
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     sd = _decompose_file(args.path, args)
-    if sd.r + sd.p > ENUMERATE_CLI_CAP:
-        raise EnumerationCapError(
-            f"refusing to list 2**{sd.r + sd.p} classes (cap r + p <= {ENUMERATE_CLI_CAP})"
-        )
     # Each class prints as a sign row's text and a bit row's text between
     # fixed pieces, so the rows are formatted once per table, not per class.
     sign_rows, bit_rows = class_tables(
@@ -477,14 +483,17 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         '], "inertia": [%d, %d, 0]}' % (sd.p + sd.r - neg, sd.p + neg)
         for neg in range(sd.r + 1)
     ]
-    blocks = []
+    blocks = []  # one per sign row, its classes joined already
     for signs in sign_rows:
         tail = tails[signs.count("-")]
-        head = '  {"signs": [%s], "n": [' % signs
-        blocks.append(head + (tail + ",\n" + head).join(bit_rows) + tail)
-    print(
-        '{\n "schema": 1,\n "count": %d,\n "classes": [\n%s\n ]\n}'
-        % (len(sign_rows) * len(bit_rows), ",\n".join(blocks))
+        head = '{"signs": [%s], "n": [' % signs
+        blocks.append(head + (tail + ",\n  " + head).join(bit_rows) + tail)
+    _emit(
+        {
+            "schema": 1,
+            "count": len(sign_rows) * len(bit_rows),
+            "classes": _Lines(blocks, "  ", encoded=True),
+        }
     )
     return EXIT_OK
 
@@ -610,11 +619,7 @@ class _Parser(argparse.ArgumentParser):
     """Argparse variant whose usage failures keep the JSON-on-stdout contract."""
 
     def error(self, message: str) -> None:
-        print(
-            json.dumps(
-                {"schema": 1, "error": {"type": "UsageError", "message": message}}
-            )
-        )
+        _emit({"schema": 1, "error": {"type": "UsageError", "message": message}})
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_INPUT)
 

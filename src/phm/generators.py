@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GenerationError, ParameterError
-from .matrices import as_square_matrix, lock, require_hermitian
-from .metrics import MetricParameters, MetricResult, build_M
+from .matrices import as_square_matrix, hermitize, lock, require_hermitian
+from .metrics import MetricParameters, MetricResult, build_M, intertwining_residual
 from .spectral import SpectralData, assert_nondegenerate
 
 
@@ -179,16 +179,14 @@ def generate_via_observable(M, seed: int, herm_tol: float = 1e-10) -> tuple[np.n
     """
     M = as_square_matrix(M, name="M")
     require_hermitian(M, tol=herm_tol, name="M")
-    w = np.linalg.eigvalsh((M + M.conj().T) / 2.0)
+    w = np.linalg.eigvalsh(hermitize(M))
     scale = float(np.max(np.abs(w)))
     if scale == 0.0 or float(np.min(np.abs(w))) <= 1e-12 * scale:
         raise ParameterError("metric must be invertible (no near-zero eigenvalues)")
     A = random_hermitian(M.shape[0], seed)
     Phi = A @ M
     # Exactness sanity: Phi^dagger M - M Phi = (M A - M A) M = 0 up to rounding.
-    defect = np.linalg.norm(Phi.conj().T @ M - M @ Phi) / (
-        np.linalg.norm(Phi) * np.linalg.norm(M)
-    )
+    defect = intertwining_residual(Phi, M, check_hermitian=False)
     if not defect <= 1e-12:
         raise GenerationError(f"constructed pair has residual {defect:.3e} > 1e-12")
     return Phi, A

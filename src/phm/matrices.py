@@ -47,7 +47,10 @@ def hermiticity_defect(a: np.ndarray) -> float:
     """Relative Frobenius distance from ``a`` to its hermitian part.
 
     Zero for an exactly hermitian matrix; defined as 0 for the zero matrix.
+    The ratio is scale-free, so it is computed on ``unit_scaled(a)``: the
+    same bits, without overflowing on entries near 1e200 or above.
     """
+    a = unit_scaled(np.asarray(a, dtype=np.complex128))
     na = frobenius(a)
     if na == 0.0:
         return 0.0
@@ -72,7 +75,7 @@ def require_hermitian(a: np.ndarray, tol: float = 1e-10, name: str = "matrix") -
     """Raise unless ``a`` is hermitian to relative tolerance ``tol``."""
     m = as_square_matrix(a, name=name)
     defect = hermiticity_defect(m)
-    if defect > tol:
+    if not defect <= tol:  # a NaN defect fails too
         raise NonHermitianError(
             f"{name} is not hermitian: relative defect {defect:.3e} > {tol:.1e}"
         )

@@ -8,12 +8,14 @@ requires every parameter nonzero. Each pair block has eigenvalues
 +-|tau|, which pins the signature floor: at least p positive and p
 negative metric eigenvalues, however the parameters are chosen.
 
-A unitary built from the pair phases rotates every pair block onto
-+-sigma_z, separating the "physical" data (sign pattern and phases) from
-the pure-gauge magnitudes, which can be absorbed into the diagonalizer.
-The discrete part of the solution space is a sign assignment per real
-eigenvalue plus a binary orientation per pair, modulo one global sign
-flip; the continuous part is one phase per pair.
+The canonical ("unitary gauge") form of a class is the family member at
+|mu| = |tau| = 1: mu = signs and tau = (-1)^n e^{i theta}, because the
+pair rotation U(theta) has U^dagger (+-sigma_z) U = +-B(e^{i theta}). It
+separates the "physical" data (sign pattern, orientation bits and
+phases) from the pure-gauge magnitudes, which can be absorbed into the
+diagonalizer. The discrete part of the solution space is a sign
+assignment per real eigenvalue plus a binary orientation per pair,
+modulo one global sign flip; the continuous part is one phase per pair.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from .matrices import (
     block_diag,
     frobenius,
     hermitize,
-    hermiticity_defect,
     lock,
     require_hermitian,
     unit_scaled,
@@ -49,7 +50,7 @@ TWO_PI = 2.0 * math.pi
 _ROT_X_TO_Z = np.array([[1.0, 1.0], [-1.0, 1.0]], dtype=np.complex128) / math.sqrt(2.0)
 _ROT_X_TO_Z.setflags(write=False)
 
-ENUMERATION_CAP = 62  # 2**(r+p) must fit a machine word
+MAX_LISTED_BITS = 20  # class_tables lists at most 2**20 classes
 
 
 @dataclass(frozen=True)
@@ -206,7 +207,7 @@ def build_M(sd: SpectralData, params: MetricParameters) -> MetricResult:
     m = build_m(params)
     M = hermitize(sd.S.conj().T @ m @ sd.S)
     ip, im = inertia_of_params(params, sd.p)
-    res = intertwining_residual(sd.matrix, M)
+    res = intertwining_residual(sd.matrix, M, check_hermitian=False)  # hermitian by construction
     return MetricResult(M=M, inertia=(ip, im, 0), residual=res)
 
 
@@ -268,32 +269,22 @@ def build_m0(signs, n) -> np.ndarray:
     return block_diag(*blocks)
 
 
-def _gauge_unitary(theta: tuple[float, ...], r: int) -> np.ndarray:
-    """block-diag(1,...,1, U(theta_1), ..., U(theta_p)) acting on the eigenbasis."""
-    blocks = [np.eye(r, dtype=np.complex128)] if r else []
-    blocks.extend(pair_rotation(t) for t in theta)
-    return block_diag(*blocks)
-
-
 def canonical_metric(sd: SpectralData, cls: CanonicalClass) -> MetricResult:
     """Metric in unitary gauge: M = S^dagger U^dagger m0 U S.
 
-    U collects the per-pair phase rotations (orientation bits enter only
-    through the signature matrix m0). The inertia is p plus the number of
-    positive signs, and p plus the number of negative signs.
+    U collects the per-pair phase rotations and m0 = build_m0(signs, n).
+    Since U(theta)^dagger (+-sigma_z) U(theta) = +-B(e^{i theta}), this is
+    the family member with mu = signs and tau = (-1)^n e^{i theta}. The
+    inertia is p plus the number of positive signs, and p plus the number
+    of negative signs.
     """
     if (cls.r, cls.p) != (sd.r, sd.p):
         raise ParameterError(
             f"class shape (r={cls.r}, p={cls.p}) does not match spectrum "
             f"(r={sd.r}, p={sd.p})"
         )
-    U = _gauge_unitary(cls.theta, sd.r)
-    m0 = build_m0(cls.signs, cls.n)
-    M = hermitize(sd.S.conj().T @ U.conj().T @ m0 @ U @ sd.S)
-    pos = sum(1 for s in cls.signs if s > 0)
-    neg = cls.r - pos
-    res = intertwining_residual(sd.matrix, M)
-    return MetricResult(M=M, inertia=(sd.p + pos, sd.p + neg, 0), residual=res)
+    tau = (-1.0) ** np.asarray(cls.n) * np.exp(1j * np.asarray(cls.theta))
+    return build_M(sd, MetricParameters(mu=np.asarray(cls.signs), tau=tau))
 
 
 def gauge_absorb(sd: SpectralData, params: MetricParameters) -> tuple[SpectralData, CanonicalClass]:
@@ -412,9 +403,9 @@ def class_tables(
     """
     if r < 0 or p < 0:
         raise ParameterError("r and p must be nonnegative")
-    if r + p > ENUMERATION_CAP:
+    if r + p > MAX_LISTED_BITS:
         raise EnumerationCapError(
-            f"2**{r + p} classes exceed the machine-word cap (r + p <= {ENUMERATION_CAP})"
+            f"refusing to list 2**{r + p} classes (cap r + p <= {MAX_LISTED_BITS})"
         )
     return (
         _words(r, signs, sep, halve=mod_global),
@@ -449,6 +440,4 @@ def sqh_factorization(sd: SpectralData) -> MetricResult:
             f"at least {sd.p} negative eigenvalue(s), so no positive-definite "
             "metric exists"
         )
-    M = hermitize(sd.S.conj().T @ sd.S)
-    res = intertwining_residual(sd.matrix, M)
-    return MetricResult(M=M, inertia=(sd.n, 0, 0), residual=res)
+    return build_M(sd, MetricParameters(mu=np.ones(sd.r), tau=None))

@@ -345,12 +345,13 @@ def decompose(
 
 
 def biorthogonality_check(sd: SpectralData) -> float:
-    """Max deviation of left/right eigenvector overlaps from the identity.
+    """Largest relative left-eigenvector residual of the rows of S.
 
-    Right eigenvectors are the columns of S^-1 and left eigenvectors the
-    columns of S^dagger, so the overlap matrix is S S^-1; the return value
-    is the largest entrywise deviation from the Kronecker delta.
+    H = S^-1 diag(lam) S makes row k of S a left eigenvector for lam_k,
+    S_k H = lam_k S_k, so this returns
+    max_k ||S_k H - lam_k S_k|| / (||H||_F ||S_k||), 0 for H = 0.
     """
-    Sinv = np.linalg.inv(sd.S)
-    G = sd.S @ Sinv
-    return float(np.max(np.abs(G - np.eye(sd.n))))
+    R = sd.S @ sd.matrix - sd.lam[:, np.newaxis] * sd.S
+    rel = np.linalg.norm(R, axis=1) / np.linalg.norm(sd.S, axis=1)
+    h = frobenius(sd.matrix)
+    return float(np.max(rel)) / h if h else 0.0

@@ -171,6 +171,29 @@ def test_matrix_file_exact_round_trip(tmp_path_factory, data, n):
     assert json.dumps(_matrix_doc(M)["entries"]) == json.dumps(reference)
 
 
+def _reference_matrix_file(M) -> str:
+    """The matrix-file template the one document renderer replaced."""
+    rows = ",\n   ".join(json.dumps([[float(z.real), float(z.imag)] for z in row]) for row in M)
+    return '{\n "schema": 1,\n "n": %d,\n "entries": [\n   %s\n ]\n}\n' % (M.shape[0], rows)
+
+
+@settings(deadline=None, max_examples=50)
+@given(data=st.data(), n=st.integers(1, 5))
+def test_matrix_file_bytes_match_reference_template(tmp_path_factory, data, n):
+    parts = data.draw(st.lists(_cell_floats, min_size=2 * n * n, max_size=2 * n * n))
+    M = np.array(parts, dtype=np.float64).view(np.complex128).reshape(n, n)
+    path = tmp_path_factory.mktemp("io") / "m.json"
+    _write_matrix_file(str(path), M)
+    assert path.read_text(encoding="utf-8") == _reference_matrix_file(M)
+
+
+def test_matrix_file_bytes_edge_values(tmp_path):
+    M = np.array(_EDGE_FLOATS + [1e308], dtype=np.float64).view(np.complex128).reshape(2, 2)
+    path = tmp_path / "m.json"
+    _write_matrix_file(str(path), M)
+    assert path.read_text(encoding="utf-8") == _reference_matrix_file(M)
+
+
 def _strict_json(text: str):
     def reject(name):
         raise ValueError(f"non-strict JSON constant {name}")
@@ -418,6 +441,16 @@ def _split_matrix(r, p):
     return H
 
 
+def test_enumerate_cap_exits_6(capsys, tmp_path):
+    path = write_matrix_json(tmp_path / "h.json", _split_matrix(11, 10))
+    code, text, _ = run(capsys, "enumerate", path, parse=False)
+    assert code == 6
+    assert text == (
+        '{\n "schema": 1,\n "error": {"type": "EnumerationCapError", '
+        '"message": "refusing to list 2**21 classes (cap r + p <= 20)"}\n}\n'
+    )
+
+
 @pytest.mark.parametrize("k", range(1, 13))
 def test_enumerate_matches_reference_printer(capsys, tmp_path, k):
     for r in range(k + 1):
@@ -492,6 +525,30 @@ def test_generate_observable_mode(capsys, tmp_path):
     A = read_matrix_file(out + "_A.json")
     np.testing.assert_allclose(Phi.conj().T @ SIGMA_Z, SIGMA_Z @ Phi, atol=1e-12)
     np.testing.assert_allclose(A, A.conj().T, atol=0)
+
+
+def test_generate_observable_metric_near_1e200(capsys, tmp_path):
+    metric = write_matrix_json(tmp_path / "big.json", np.diag([1e200, -2e200]))
+    out = str(tmp_path / "obs")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an overflow warning would fail here
+        code, doc, err = run(
+            capsys, "generate", "--mode", "observable", "--metric", metric,
+            "--seed", "1", "--out", out,
+        )
+    assert code == 0
+    assert err == ""
+    assert doc["residual"] <= 1e-12
+
+
+def test_generate_observable_nonhermitian_near_1e200_exits_5(capsys, tmp_path):
+    metric = write_matrix_json(tmp_path / "big.json", 1e200 * np.array([[1.0, 1.0], [0.0, 1.0]]))
+    code, doc, _ = run(
+        capsys, "generate", "--mode", "observable", "--metric", metric,
+        "--seed", "1", "--out", str(tmp_path / "obs"),
+    )
+    assert code == 5
+    assert doc["error"]["type"] == "NonHermitianError"
 
 
 def test_generate_missing_flags(capsys, tmp_path):
@@ -667,6 +724,15 @@ def test_usage_error_is_json(capsys):
     code, doc, err = run(capsys, "no-such-command")
     assert code == 1
     assert doc["error"]["type"] == "UsageError"
+
+
+def test_usage_error_has_the_common_layout(capsys):
+    code, text, _ = run(capsys, "analyze", parse=False)
+    assert code == 1
+    assert text == (
+        '{\n "schema": 1,\n "error": {"type": "UsageError", '
+        '"message": "the following arguments are required: path"}\n}\n'
+    )
 
 
 def test_stdout_single_json_document(capsys, rot_file):

@@ -11,8 +11,9 @@ from numpy.testing import assert_allclose
 from conftest import DIAG12, ROT2, make_instance
 from phm import decompose, random_parameters
 from phm.errors import NonHermitianError, NotSqhError, ParameterError
-from phm.matrices import SIGMA_X, SIGMA_Y, SIGMA_Z
+from phm.matrices import SIGMA_X, SIGMA_Y, SIGMA_Z, block_diag, hermitize
 from phm.metrics import (
+    TWO_PI,
     CanonicalClass,
     MetricParameters,
     block_rotation,
@@ -30,6 +31,7 @@ from phm.metrics import (
     m_inner_product,
     negate_class,
     pair_block,
+    pair_rotation,
     sqh_factorization,
 )
 
@@ -222,6 +224,36 @@ def test_canonical_identity_class_is_positive():
     assert res.inertia == (2, 0, 0)
 
 
+def _unitary_gauge_metric(sd, cls):
+    """The formula canonical_metric replaced: S^dagger U^dagger m0 U S with
+    U = block-diag(I_r, pair_rotation(theta_1), ..., pair_rotation(theta_p))."""
+    U = block_diag(*([np.eye(sd.r)] if sd.r else []), *map(pair_rotation, cls.theta))
+    m0 = build_m0(cls.signs, cls.n)
+    return hermitize(sd.S.conj().T @ U.conj().T @ m0 @ U @ sd.S)
+
+
+_SPLITS_UP_TO_10 = [(n, r, (n - r) // 2) for n in range(1, 11) for r in range(n, -1, -2)]
+
+
+@settings(deadline=None, max_examples=100)
+@given(data=st.data())
+def test_canonical_metric_is_the_unitary_gauge_formula(data):
+    n, r, p = data.draw(st.sampled_from(_SPLITS_UP_TO_10))
+    sd = make_instance(n, r, p, seed=data.draw(st.integers(0, 10**6))).sd
+    cls = CanonicalClass(
+        signs=data.draw(st.lists(st.sampled_from((1, -1)), min_size=r, max_size=r)),
+        n=data.draw(st.lists(st.integers(0, 1), min_size=p, max_size=p)),
+        theta=data.draw(
+            st.lists(st.floats(0.0, TWO_PI, exclude_max=True), min_size=p, max_size=p)
+        ),
+    )
+    res = canonical_metric(sd, cls)
+    ref = _unitary_gauge_metric(sd, cls)
+    assert np.max(np.abs(res.M - ref)) <= 1e-14 * np.max(np.abs(ref))
+    assert res.inertia == inertia_of_matrix(ref) == inertia_of_matrix(res.M)
+    assert res.residual <= 1e-12
+
+
 @settings(deadline=None, max_examples=40)
 @given(seed=st.integers(0, 10**6))
 def test_gauge_absorption_identity(seed):
@@ -334,6 +366,14 @@ def test_enumerate_cap():
 
     with pytest.raises(EnumerationCapError):
         enumerate_classes(40, 40)
+
+
+@pytest.mark.parametrize("r, p", [(21, 0), (0, 21), (11, 10)])
+def test_class_tables_cap_is_r_plus_p_20(r, p):
+    from phm.errors import EnumerationCapError
+
+    with pytest.raises(EnumerationCapError, match=r"refusing to list 2\*\*21 classes \(cap r \+ p <= 20\)"):
+        class_tables(r, p)
 
 
 # ------------------------------------------------------------------- sqh

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -121,6 +122,13 @@ def test_decompose_reconstructs():
     assert_allclose(Sinv @ np.diag(sd.lam) @ sd.S, inst.H, atol=1e-10)
     assert_allclose(sd.lam, inst.sd.lam, atol=1e-10)
     assert biorthogonality_check(sd) <= 1e-10
+
+
+def test_biorthogonality_check_detects_swapped_rows():
+    sd = make_instance(6, 2, 2, seed=42).sd
+    S = sd.S.copy()
+    S[[1, 3]] = S[[3, 1]]  # row 1 is no longer a left eigenvector for lam_1
+    assert biorthogonality_check(dataclasses.replace(sd, S=S)) > 1e-8
 
 
 def test_decompose_is_deterministic():

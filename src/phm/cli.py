@@ -126,7 +126,7 @@ def _nonfinite_to_null(value):
     """``value`` with every NaN or infinite float replaced by None."""
     if isinstance(value, float):
         return value if math.isfinite(value) else None
-    if isinstance(value, list):  # dicts are walked by _encode
+    if isinstance(value, list):  # dicts are walked by _pieces
         return [_nonfinite_to_null(v) for v in value]
     return value
 
@@ -137,34 +137,39 @@ class _Lines(list):
 
     def __init__(self, items, pad: str, encoded: bool = False):
         super().__init__(items)
-        self.pad = pad
-        self.encoded = encoded
+        self.pad, self.encoded = pad, encoded
 
 
-def _encode(value, depth: int, encode) -> str:
+def _pieces(value, depth: int, encode, out: list) -> None:
+    """Append the JSON text of ``value`` to ``out``, in pieces joined once."""
     if isinstance(value, _Lines):
         items = value if value.encoded else map(encode, value)
-        return "[\n%s%s\n%s]" % (value.pad, (",\n" + value.pad).join(items), " " * depth)
-    if isinstance(value, dict):
-        return "{%s}" % ", ".join(f'"{k}": {_encode(v, depth + 1, encode)}' for k, v in value.items())
-    return encode(value)
+        out += ("[\n", value.pad, (",\n" + value.pad).join(items), "\n", " " * depth, "]")
+    elif isinstance(value, dict):
+        # the document: one key per line; nested values compact, since
+        # json.dump's indent would spread every [re, im] cell over four lines
+        start, sep, end = ("{\n ", ",\n ", "\n}") if depth == 0 else ("{", ", ", "}")
+        out.append(start)
+        for i, (key, item) in enumerate(value.items()):
+            out.append(f'{sep if i else ""}"{key}": ')
+            _pieces(item, depth + 1, encode, out)
+        out.append(end)
+    else:
+        out.append(encode(value))
 
 
-def _format_doc(doc: dict, encode=_STRICT.encode) -> str:
-    # One top-level key per line, nested values compact; json.dump's indent
-    # would spread every [re, im] cell over four lines.
-    return "{\n%s\n}" % ",\n".join(f' "{k}": {_encode(v, 1, encode)}' for k, v in doc.items())
-
-
-def _render(doc: dict) -> str:
+def _format_doc(doc: dict) -> str:
+    out: list = []
     try:
-        return _format_doc(doc)
+        _pieces(doc, 0, _STRICT.encode, out)
     except ValueError:  # a non-finite float
-        return _format_doc(doc, lambda value: _STRICT.encode(_nonfinite_to_null(value)))
+        out = []
+        _pieces(doc, 0, lambda value: _STRICT.encode(_nonfinite_to_null(value)), out)
+    return "".join(out)
 
 
 def _emit(doc: dict) -> None:
-    print(_render(doc))
+    print(_format_doc(doc))
 
 
 def _emit_error(exc: Exception, extra: dict | None = None) -> None:
@@ -187,7 +192,7 @@ def _matrix_doc(M: np.ndarray) -> dict:
 
 
 def _write_matrix_file(path: str, M: np.ndarray) -> None:
-    text = _render(_matrix_doc(M)) + "\n"
+    text = _format_doc(_matrix_doc(M)) + "\n"
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GenerationError, ParameterError
-from .matrices import as_square_matrix, hermitize, lock, require_hermitian
+from .matrices import as_square_matrix, hermitize, lock, require_hermitian, unit_scaled
 from .metrics import MetricParameters, MetricResult, build_M, intertwining_residual
 from .spectral import SpectralData, assert_nondegenerate
 
@@ -179,7 +179,7 @@ def generate_via_observable(M, seed: int, herm_tol: float = 1e-10) -> tuple[np.n
     """
     M = as_square_matrix(M, name="M")
     require_hermitian(M, tol=herm_tol, name="M")
-    w = np.linalg.eigvalsh(hermitize(M))
+    w = np.linalg.eigvalsh(hermitize(unit_scaled(M)))  # M + M^dagger overflows near 1e308
     scale = float(np.max(np.abs(w)))
     if scale == 0.0 or float(np.min(np.abs(w))) <= 1e-12 * scale:
         raise ParameterError("metric must be invertible (no near-zero eigenvalues)")

@@ -47,8 +47,7 @@ def hermiticity_defect(a: np.ndarray) -> float:
     """Relative Frobenius distance from ``a`` to its hermitian part.
 
     Zero for an exactly hermitian matrix; defined as 0 for the zero matrix.
-    The ratio is scale-free, so it is computed on ``unit_scaled(a)``: the
-    same bits, without overflowing on entries near 1e200 or above.
+    Computed on ``unit_scaled(a)``, so entries near 1e308 do not overflow.
     """
     a = unit_scaled(np.asarray(a, dtype=np.complex128))
     na = frobenius(a)

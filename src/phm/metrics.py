@@ -47,8 +47,7 @@ from .spectral import SpectralData
 TWO_PI = 2.0 * math.pi
 
 # exp(i pi/4 sigma_y): quarter turn taking the x axis onto the z axis.
-_ROT_X_TO_Z = np.array([[1.0, 1.0], [-1.0, 1.0]], dtype=np.complex128) / math.sqrt(2.0)
-_ROT_X_TO_Z.setflags(write=False)
+_ROT_X_TO_Z = lock(np.array([[1.0, 1.0], [-1.0, 1.0]], dtype=np.complex128) / math.sqrt(2.0))
 
 MAX_LISTED_BITS = 20  # class_tables lists at most 2**20 classes
 
@@ -148,17 +147,13 @@ def pair_block(tau: complex) -> np.ndarray:
     return np.array([[0.0, np.conj(tau)], [tau, 0.0]], dtype=np.complex128)
 
 
-def build_m(params: MetricParameters, r: int | None = None, p: int | None = None) -> np.ndarray:
+def build_m(params: MetricParameters) -> np.ndarray:
     """Assemble the block-diagonal metric in the eigenbasis.
 
     block-diag(mu_1 ... mu_r, B(tau_1), ..., B(tau_p)) with
     B(tau) = [[0, conj(tau)], [tau, 0]]. Hermitian and invertible for
     valid parameters.
     """
-    if r is not None and r != params.r:
-        raise ParameterError(f"expected {r} real parameters, got {params.r}")
-    if p is not None and p != params.p:
-        raise ParameterError(f"expected {p} pair parameters, got {params.p}")
     blocks = [np.array([[m]], dtype=np.complex128) for m in params.mu]
     blocks.extend(pair_block(t) for t in params.tau)
     return block_diag(*blocks)
@@ -272,11 +267,10 @@ def build_m0(signs, n) -> np.ndarray:
 def canonical_metric(sd: SpectralData, cls: CanonicalClass) -> MetricResult:
     """Metric in unitary gauge: M = S^dagger U^dagger m0 U S.
 
-    U collects the per-pair phase rotations and m0 = build_m0(signs, n).
-    Since U(theta)^dagger (+-sigma_z) U(theta) = +-B(e^{i theta}), this is
-    the family member with mu = signs and tau = (-1)^n e^{i theta}. The
-    inertia is p plus the number of positive signs, and p plus the number
-    of negative signs.
+    U collects the per-pair phase rotations and m0 = build_m0(signs, n),
+    so this is the family member with mu = signs, tau = (-1)^n e^{i theta}.
+    The inertia is p plus the number of positive signs, and p plus the
+    number of negative signs.
     """
     if (cls.r, cls.p) != (sd.r, sd.p):
         raise ParameterError(

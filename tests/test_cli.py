@@ -527,8 +527,9 @@ def test_generate_observable_mode(capsys, tmp_path):
     np.testing.assert_allclose(A, A.conj().T, atol=0)
 
 
-def test_generate_observable_metric_near_1e200(capsys, tmp_path):
-    metric = write_matrix_json(tmp_path / "big.json", np.diag([1e200, -2e200]))
+@pytest.mark.parametrize("diagonal", [[1e200, -2e200], [1e308, -1e308]])
+def test_generate_observable_metric_near_overflow(capsys, tmp_path, diagonal):
+    metric = write_matrix_json(tmp_path / "big.json", np.diag(diagonal))
     out = str(tmp_path / "obs")
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # an overflow warning would fail here

@@ -44,7 +44,7 @@ import math
 import os
 import re
 import sys
-from itertools import chain
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -144,7 +144,10 @@ def _pieces(value, depth: int, encode, out: list) -> None:
     """Append the JSON text of ``value`` to ``out``, in pieces joined once."""
     if isinstance(value, _Lines):
         items = value if value.encoded else map(encode, value)
-        out += ("[\n", value.pad, (",\n" + value.pad).join(items), "\n", " " * depth, "]")
+        first = len(out)
+        out += chain.from_iterable(zip(repeat(",\n" + value.pad), items))
+        out[first : first + 1] = ["[\n" + value.pad]  # the first separator opens the array
+        out.append("\n" + " " * depth + "]")
     elif isinstance(value, dict):
         # the document: one key per line; nested values compact, since
         # json.dump's indent would spread every [re, im] cell over four lines

@@ -482,24 +482,32 @@ def cmd_canonical(args: argparse.Namespace) -> int:
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     sd = _decompose_file(args.path, args)
-    # Each class prints as a sign row's text and a bit row's text between
-    # fixed pieces, so the rows are formatted once per table, not per class.
-    sign_rows, bit_rows = class_tables(
-        sd.r, sd.p, not args.no_mod_global, signs=("1", "-1"), bits=("0", "1"), sep=", "
+    # A class prints as the text of its first k = (r + p) // 2 letters and
+    # the text of the rest between fixed pieces. Each table is formatted
+    # once; the loop runs once per first-half word, not per sign row or class.
+    r, p = sd.r, sd.p
+    k = (r + p) // 2
+    junction = '], "n": ['  # before the first bit; in the tail when p = 0
+    firsts, seconds = class_tables(
+        r, p, not args.no_mod_global, signs=("1", "-1"), bits=("0", "1"),
+        sep=", ", junction=junction, split=k,
     )
     tails = [  # by the number of negative signs
-        '], "inertia": [%d, %d, 0]}' % (sd.p + sd.r - neg, sd.p + neg)
-        for neg in range(sd.r + 1)
+        (junction if p == 0 else "") + '], "inertia": [%d, %d, 0]}' % (p + r - neg, p + neg)
+        for neg in range(r + 1)
     ]
-    blocks = []  # one per sign row, its classes joined already
-    for signs in sign_rows:
-        tail = tails[signs.count("-")]
-        head = '{"signs": [%s], "n": [' % signs
-        blocks.append(head + (tail + ",\n  " + head).join(bit_rows) + tail)
+    negs = [v.count("-") for v in seconds]
+    rests = [  # the second halves with their tails, by the first half's negative signs
+        [v + tails[c + neg] for v, neg in zip(seconds, negs)] for c in range(min(k, r) + 1)
+    ]
+    blocks = []  # one per first-half word, its classes joined already
+    for u in firsts:
+        head = '{"signs": [' + u
+        blocks.append(head + (",\n  " + head).join(rests[u.count("-")]))
     _emit(
         {
             "schema": 1,
-            "count": len(sign_rows) * len(bit_rows),
+            "count": len(firsts) * len(seconds),
             "classes": _Lines(blocks, "  ", encoded=True),
         }
     )
@@ -603,7 +611,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     M = unit_scaled(M)
     defect = hermiticity_defect(M)
     residual = intertwining_residual(H, M, check_hermitian=False)
-    inertia = inertia_of_matrix(hermitize(M))
+    inertia = inertia_of_matrix(hermitize(M), check_hermitian=False)
     _emit(
         {
             "schema": 1,

@@ -332,15 +332,18 @@ def inertia_of_params(params: MetricParameters, p: int) -> tuple[int, int]:
     return (p + pos, p + (params.r - pos))
 
 
-def inertia_of_matrix(M, tol: float = 1e-10) -> tuple[int, int, int]:
+def inertia_of_matrix(M, tol: float = 1e-10, check_hermitian: bool = True) -> tuple[int, int, int]:
     """Counts of positive, negative and null eigenvalues of a hermitian matrix.
 
     Eigenvalues within tol * ||M|| of zero count as null. Congruence
     invariance (Sylvester) makes this agree with
     :func:`inertia_of_params` for any metric built from valid parameters.
+    ``check_hermitian=False`` takes M as the hermitian part already (say,
+    :func:`hermitize`'s output), so neither the gate nor the projection runs.
     """
-    M = require_hermitian(M, tol=tol if tol > 0 else 1e-10, name="M")
-    w = np.linalg.eigvalsh(hermitize(M))
+    if check_hermitian:
+        M = hermitize(require_hermitian(M, tol=tol if tol > 0 else 1e-10, name="M"))
+    w = np.linalg.eigvalsh(M)
     cut = tol * (float(np.max(np.abs(w))) if w.size else 0.0)
     pos = int(np.sum(w > cut))
     neg = int(np.sum(w < -cut))
@@ -384,16 +387,22 @@ def class_tables(
     signs=((1,), (-1,)),
     bits=((0,), (1,)),
     sep=(),
+    junction=(),
+    split: int | None = None,
 ) -> tuple[list, list]:
-    """The sign table and the bit table of the discrete classes.
+    """The two tables whose lexicographic product is the discrete classes.
 
-    The classes are the lexicographic product of the 2**r sign rows (+1
-    before -1) and the 2**p bit rows (0 before 1). With ``mod_global`` one
-    table is halved, which keeps the member of every {x, -x} orbit whose
-    first signature entry is +1: the sign rows that start with +1 when
-    r > 0, else the bit rows that start with 0. By default rows are tuples;
-    with string letters and a string ``sep`` they are texts, so a caller
-    can print the classes without building them.
+    A class is r + p letters: r signs (+1 before -1), then p orientation
+    bits (0 before 1). The first table holds the words of the letters
+    before position ``split`` (default r: the sign rows), the second the
+    words of the rest (default: the bit rows). Inside a word, ``sep`` goes
+    before every letter but the first sign, and ``junction`` replaces it
+    before the first bit; with string letters a caller can print the
+    classes from the two tables without building them, and splitting at
+    (r + p) // 2 keeps both tables at most 2**ceil((r + p) / 2) words.
+    With ``mod_global`` the table holding position 0 is halved, which
+    keeps the member of every {x, -x} orbit whose first letter is +1 (or 0
+    when r = 0).
     """
     if r < 0 or p < 0:
         raise ParameterError("r and p must be nonnegative")
@@ -401,10 +410,20 @@ def class_tables(
         raise EnumerationCapError(
             f"refusing to list 2**{r + p} classes (cap r + p <= {MAX_LISTED_BITS})"
         )
-    return (
-        _words(r, signs, sep, halve=mod_global),
-        _words(p, bits, sep, halve=mod_global and r == 0),
-    )
+    split = r if split is None else split
+    if not 0 <= split <= r + p:
+        raise ParameterError(f"split {split} is outside [0, {r + p}]")
+
+    def table(start: int, stop: int) -> list:
+        words = [sep[:0]]
+        for lo, hi, letters in ((start, min(stop, r), signs), (max(start, r), stop, bits)):
+            if lo < hi:
+                lead = junction if lo == r else sep if lo else sep[:0]
+                run = _words(hi - lo, letters, sep, halve=mod_global and lo == 0)
+                words = [w + lead + x for w in words for x in run]
+        return words
+
+    return table(0, split), table(split, r + p)
 
 
 def enumerate_classes(

@@ -297,6 +297,15 @@ def test_inertia_of_matrix_counts_null():
     assert inertia_of_matrix(np.diag([2.0, -1.0, 0.0])) == (1, 1, 1)
 
 
+def test_inertia_of_matrix_unchecked_takes_the_hermitian_part():
+    rng = np.random.default_rng(5)
+    A = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    A = hermitize(A) + 1e-13 * A  # hermitian to about 1e-13
+    assert inertia_of_matrix(hermitize(A), check_hermitian=False) == inertia_of_matrix(A)
+    with pytest.raises(NonHermitianError):
+        inertia_of_matrix(A + 1e-3 * np.triu(A, 1))
+
+
 # ------------------------------------------------------------- enumeration
 
 
@@ -359,6 +368,20 @@ def test_enumeration_is_the_product_of_the_class_tables(mod_global):
                 for b in product((0, 1), repeat=p)
                 if not mod_global or is_global_representative(s, b)
             ]
+
+
+@pytest.mark.parametrize("mod_global", [True, False])
+def test_class_tables_at_any_split_give_the_classes(mod_global):
+    for k in range(1, 9):
+        for r in range(k + 1):
+            p = k - r
+            classes = [s + b for s, b in enumerate_classes(r, p, mod_global)]
+            for split in range(k + 1):
+                first, second = class_tables(r, p, mod_global, split=split)
+                assert [a + b for a in first for b in second] == classes
+                assert len(first) <= 2**split and len(second) <= 2 ** (k - split)
+    with pytest.raises(ParameterError):
+        class_tables(2, 1, split=4)
 
 
 def test_enumerate_cap():

@@ -397,12 +397,12 @@ def class_tables(
     before position ``split`` (default r: the sign rows), the second the
     words of the rest (default: the bit rows). Inside a word, ``sep`` goes
     before every letter but the first sign, and ``junction`` replaces it
-    before the first bit; with string letters a caller can print the
-    classes from the two tables without building them, and splitting at
-    (r + p) // 2 keeps both tables at most 2**ceil((r + p) / 2) words.
-    With ``mod_global`` the table holding position 0 is halved, which
-    keeps the member of every {x, -x} orbit whose first letter is +1 (or 0
-    when r = 0).
+    before the first bit (no word holds it when p = 0). With string
+    letters a caller can print the classes from the two tables without
+    building them; splitting at (r + p) // 2 keeps both tables at most
+    2**ceil((r + p) / 2) words. With ``mod_global`` the table holding
+    position 0 is halved, which keeps the member of every {x, -x} orbit
+    whose first letter is +1 (or 0 when r = 0).
     """
     if r < 0 or p < 0:
         raise ParameterError("r and p must be nonnegative")

@@ -451,9 +451,9 @@ def test_enumerate_cap_exits_6(capsys, tmp_path):
     )
 
 
-# r + p = k -> the r checked. At k = 14 (the benchmark's scale, both half
-# tables longer than one word): r == (r + p) // 2, r = 0, p = 0 and their
-# neighbours.
+# r + p -> the values of r checked. At r + p = 14 (the benchmark's scale,
+# both half tables longer than one word): r == (r + p) // 2, r = 0, p = 0
+# and their neighbours.
 _REFERENCE_SPLITS = {**{k: range(k + 1) for k in range(1, 13)}, 14: (0, 1, 7, 13, 14)}
 
 

@@ -39,6 +39,7 @@ main builds the parser of the named subcommand only; any other argv (none,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -697,8 +698,14 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The phm parser; given ``command``, with that subcommand's parser only."""
+    """The phm parser; given ``command``, with that subcommand's parser only.
+
+    Built once per process and command. argparse keeps no state between
+    ``parse_args`` calls, and the help width is read when help is printed,
+    so every caller can share it; callers must not add arguments to it.
+    """
     parser = _Parser(
         prog="phm",
         description="Construct, canonicalize, enumerate and verify hermitian "

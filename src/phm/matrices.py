@@ -61,9 +61,13 @@ def unit_scaled(a: np.ndarray) -> np.ndarray:
 
     ``ldexp`` scales exactly, so scale-free figures computed from the
     result are the same bits as from ``a``, without overflowing near 1e308.
+    Returns ``a`` itself when it is already in that range (or all zero), so
+    callers must only read the result.
     """
     top = max(float(np.max(np.abs(a.real))), float(np.max(np.abs(a.imag))))
     shift = -math.frexp(top)[1]
+    if shift == 0:
+        return a
     out = np.empty_like(a)
     out.real = np.ldexp(a.real, shift)
     out.imag = np.ldexp(a.imag, shift)

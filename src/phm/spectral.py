@@ -58,18 +58,27 @@ class AdmissibilityReport:
 class RawEigenpairs:
     """Unordered eigenpairs straight from the dense solver.
 
-    ``residual`` is ||H V - V diag(values)||_F / ||H||_F and
-    ``min_singular_value`` is the smallest singular value of V (zero means
-    the eigenvectors do not span), computed on access.
+    ``matrix`` is the H they were computed from. ``residual`` is
+    ||H V - V diag(values)||_F / ||H||_F and ``min_singular_value`` is the
+    smallest singular value of V (zero means the eigenvectors do not span),
+    both computed on access.
     """
 
     values: np.ndarray
     right_vectors: np.ndarray
-    residual: float
+    matrix: np.ndarray
 
     def __post_init__(self):
         lock(self.values)
         lock(self.right_vectors)
+        lock(self.matrix)
+
+    @property
+    def residual(self) -> float:
+        H, V = self.matrix, self.right_vectors
+        nh = frobenius(H)
+        res = frobenius(H @ V - V * self.values[np.newaxis, :])
+        return res / nh if nh > 0 else res
 
     @property
     def min_singular_value(self) -> float:
@@ -161,10 +170,7 @@ def eigendecompose(H) -> RawEigenpairs:
         values, vectors = np.linalg.eig(H)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigensolver failed to converge: {exc}") from exc
-    nh = frobenius(H)
-    res = frobenius(H @ vectors - vectors * values[np.newaxis, :])
-    residual = res / nh if nh > 0 else res
-    return RawEigenpairs(values=values, right_vectors=vectors, residual=float(residual))
+    return RawEigenpairs(values=values, right_vectors=vectors, matrix=H)
 
 
 def classify_spectrum(

@@ -844,6 +844,38 @@ def test_usage_errors_match_full_parser(capsys, monkeypatch, argv):
     assert _strict_loads(selective[1])["error"]["type"] == "UsageError"
 
 
+def test_cached_parser_matches_a_fresh_one(capsys, monkeypatch, tmp_path):
+    # One process reuses each command's parser; nothing a call reads
+    # (help width, PHM_DEFAULT_TOL) or an earlier error may stick to it.
+    import phm.cli
+
+    assert build_parser("analyze") is build_parser("analyze")
+    path = write_matrix_json(tmp_path / "near.json", np.diag([1.0, 1.0 + 1e-5]))
+    steps = [
+        ({}, ["metric", path, "--bogus"]),
+        ({"COLUMNS": "60"}, ["analyze", "--help"]),
+        ({"COLUMNS": "120"}, ["analyze", "--help"]),
+        ({}, ["analyze", path]),
+        ({"PHM_DEFAULT_TOL": "1e-3"}, ["analyze", path]),
+    ]
+
+    def run_steps():
+        results = []
+        for env, argv in steps:
+            for name in ("COLUMNS", "PHM_DEFAULT_TOL"):
+                monkeypatch.delenv(name, raising=False)
+            for name, value in env.items():
+                monkeypatch.setenv(name, value)
+            results.append(run(capsys, *argv, parse=False))
+        return results
+
+    cached = run_steps()
+    monkeypatch.setattr(phm.cli, "build_parser", build_parser.__wrapped__)
+    assert run_steps() == cached
+    assert [code for code, _, _ in cached] == [1, 0, 0, 0, 3]
+    assert cached[1][1] != cached[2][1]
+
+
 # ------------------------------------------------------- CLI contract
 
 

@@ -14,6 +14,7 @@ from phm.matrices import (
     hermitize,
     lock,
     require_hermitian,
+    unit_scaled,
 )
 
 
@@ -76,3 +77,28 @@ def test_lock_blocks_writes():
     a = lock(np.zeros(3))
     with pytest.raises(ValueError):
         a[0] = 1.0
+
+
+@pytest.mark.parametrize("top", [0.5, 0.75j, -0.999, 1 - 2.0**-53])
+def test_unit_scaled_returns_its_argument_in_range(top):
+    a = np.array([[0.25, top], [0.1j, -0.3 + 0.4j]], dtype=np.complex128)
+    assert unit_scaled(a) is a
+
+
+@pytest.mark.parametrize("top", [1.0, 0.25j, -1e308, 3e-320, 2.0**-1074])
+def test_unit_scaled_copies_out_of_range(top):
+    a = np.array([[top / 4, top], [-top * 0.5j, 0.0]], dtype=np.complex128)
+    before = a.copy()
+    out = unit_scaled(a)
+    assert out is not a
+    np.testing.assert_array_equal(a, before)
+    shift = -np.frexp(abs(top))[1]
+    np.testing.assert_array_equal(out.real, np.ldexp(a.real, shift))
+    np.testing.assert_array_equal(out.imag, np.ldexp(a.imag, shift))
+    assert 0.5 <= max(np.max(np.abs(out.real)), np.max(np.abs(out.imag))) < 1.0
+    assert unit_scaled(out) is out
+
+
+def test_unit_scaled_zero_matrix_is_its_argument():
+    a = np.zeros((2, 2), dtype=np.complex128)
+    assert unit_scaled(a) is a

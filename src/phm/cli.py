@@ -34,6 +34,7 @@ errors and written matrix files included, has the same layout.
 
 main builds the parser of the named subcommand only; any other argv (none,
 -h, an unknown command) gets all seven, so help and usage errors read the same.
+Each parser is built once per process and reused by later calls.
 """
 
 from __future__ import annotations

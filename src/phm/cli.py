@@ -63,7 +63,7 @@ from .errors import (
     ParameterError,
     PhmError,
 )
-from .generators import GeneratorConfig, generate_via_observable, generate_via_spectrum
+from .generators import GeneratorConfig, _observable_instance, generate_via_spectrum
 from .matrices import hermiticity_defect, hermitize, unit_scaled
 from .metrics import (
     TWO_PI,
@@ -579,9 +579,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
         if args.metric is None:
             raise ParameterError("--mode observable requires --metric METRIC_FILE")
         M_in = read_matrix_file(args.metric)
-        Phi, A = generate_via_observable(M_in, seed=args.seed)
-        H, M = Phi, M_in
-        residual = intertwining_residual(H, M, check_hermitian=False)
+        H, A, residual = _observable_instance(M_in, seed=args.seed)
+        M = M_in
         files["A"] = args.out + "_A.json"
         _write_matrix_file(files["A"], A)
         extra = {"n": int(M_in.shape[0])}

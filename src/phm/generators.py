@@ -177,6 +177,14 @@ def generate_via_observable(M, seed: int, herm_tol: float = 1e-10) -> tuple[np.n
     product is compatible with M by construction:
     (A M)^dagger M = M A M = M (A M).
     """
+    Phi, A, _ = _observable_instance(M, seed, herm_tol)
+    return Phi, A
+
+
+def _observable_instance(
+    M, seed: int, herm_tol: float = 1e-10
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """``generate_via_observable``'s (A M, A), plus the residual it checked."""
     M = as_square_matrix(M, name="M")
     require_hermitian(M, tol=herm_tol, name="M")
     w = np.linalg.eigvalsh(hermitize(unit_scaled(M)))  # M + M^dagger overflows near 1e308
@@ -189,7 +197,7 @@ def generate_via_observable(M, seed: int, herm_tol: float = 1e-10) -> tuple[np.n
     defect = intertwining_residual(Phi, M, check_hermitian=False)
     if not defect <= 1e-12:
         raise GenerationError(f"constructed pair has residual {defect:.3e} > 1e-12")
-    return Phi, A
+    return Phi, A, defect
 
 
 def random_hermitian(n: int, seed: int) -> np.ndarray:

@@ -189,11 +189,20 @@ def classify_spectrum(
     if values.ndim != 1:
         raise ClassificationError(f"expected a 1-d value list, got shape {values.shape}")
     scale = _scale(values)
+    # Python complex: the same IEEE arithmetic and hypot as numpy's scalars, at a
+    # fraction of their per-element cost
+    vals = values.tolist()
 
-    real_idx = [k for k in range(values.size) if abs(values[k].imag) <= eps_real * scale]
-    real_set = set(real_idx)
-    pos = [k for k in range(values.size) if k not in real_set and values[k].imag > 0]
-    neg = [k for k in range(values.size) if k not in real_set and values[k].imag < 0]
+    real_idx: list[int] = []
+    pos: list[int] = []
+    neg: list[int] = []
+    for k, z in enumerate(vals):
+        if abs(z.imag) <= eps_real * scale:
+            real_idx.append(k)
+        elif z.imag > 0:
+            pos.append(k)
+        elif z.imag < 0:
+            neg.append(k)
 
     if len(pos) != len(neg):
         raise ClassificationError(
@@ -205,9 +214,9 @@ def classify_spectrum(
     pairs: list[tuple[int, int]] = []
     unmatched = list(neg)
     for j in pos:
-        target = values[j].conjugate()
-        dists = [abs(values[k] - target) for k in unmatched]
-        best = int(np.argmin(dists))  # argmin takes the first (smallest index) on ties
+        target = vals[j].conjugate()
+        dists = [_modulus(vals[k] - target) for k in unmatched]
+        best = _argmin(dists)
         if dists[best] > eps_pair * scale:
             raise ClassificationError(
                 f"eigenvalue {values[j]} has no conjugate partner within "
@@ -216,10 +225,10 @@ def classify_spectrum(
         pairs.append((j, unmatched[best]))
         del unmatched[best]
 
-    real_idx.sort(key=lambda k: values[k].real)
+    real_idx.sort(key=lambda k: vals[k].real)
 
     def pair_key(jk: tuple[int, int]) -> tuple[float, float]:
-        z = (values[jk[0]] + values[jk[1]].conjugate()) / 2.0
+        z = _midpoint(vals[jk[0]], vals[jk[1]])
         return (z.real, z.imag)
 
     pairs.sort(key=pair_key)
@@ -229,6 +238,39 @@ def classify_spectrum(
         eps_real=eps_real,
         eps_pair=eps_pair,
     )
+
+
+def _modulus(z: complex) -> float:
+    """|z| by C ``hypot``, as numpy's complex scalars compute it.
+
+    Python's ``abs`` raises OverflowError where that modulus overflows;
+    numpy returns inf, and so does this.
+    """
+    try:
+        return abs(z)
+    except OverflowError:
+        return math.inf
+
+
+def _argmin(xs: list[float]) -> int:
+    """``np.argmin``'s rule on a list: the first NaN, else the first smallest entry."""
+    best = 0
+    for k, x in enumerate(xs):
+        if x != x:
+            return k
+        if x < xs[best]:
+            best = k
+    return best
+
+
+def _midpoint(a: complex, b: complex) -> complex:
+    """(a + conj b) / 2, the bits numpy's complex scalars give.
+
+    numpy divides by 2 as by the complex 2+0j (Smith's algorithm); so does
+    Python's complex division by a complex divisor, while a real divisor
+    divides each part on its own from Python 3.14.
+    """
+    return (a + b.conjugate()) / (2 + 0j)
 
 
 def assert_nondegenerate(values, gap_tol: float = 1e-8) -> float:
@@ -253,18 +295,41 @@ def assert_nondegenerate(values, gap_tol: float = 1e-8) -> float:
     return min_gap
 
 
-def _fix_column_gauge(v: np.ndarray) -> np.ndarray:
-    """Normalize to unit norm with the first nonzero component real positive."""
-    v = v / np.linalg.norm(v)
-    nz = np.flatnonzero(np.abs(v) > _GAUGE_EPS)
-    k = int(nz[0]) if nz.size else 0
-    phase = v[k] / abs(v[k]) if abs(v[k]) > 0 else 1.0
-    v = v / phase
-    return v / np.linalg.norm(v)
+def _column_norms(V: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm`` of every column of V, to the bit.
+
+    ``norm`` of a complex vector is the square root of two BLAS dots over
+    the stride-2 real and imaginary views of its contiguous copy. The
+    rows of ``V.T`` in C order give the same dots with the same strides;
+    stacked 1 x n @ n x 1 products run one dot each. A contiguous copy of
+    the real parts goes through a different BLAS kernel and does not give
+    the same bits.
+    """
+    X = np.ascontiguousarray(V.T)
+    re, im = X.real[:, np.newaxis, :], X.imag[:, np.newaxis, :]
+    sq = re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1)
+    return np.sqrt(sq[:, 0, 0])
+
+
+def _fix_column_gauge(V: np.ndarray) -> None:
+    """Scale each column of V in place to unit norm, first nonzero component real positive.
+
+    The first component above ``_GAUGE_EPS`` after normalizing (component 0
+    if none is) is divided by its modulus. Every step is the arithmetic of
+    one column at a time, done for all columns at once: the threshold test
+    keeps the array ``np.abs`` and the modulus is ``np.hypot``, which is
+    ``abs`` of a numpy complex scalar (array ``np.abs`` is not, in the last
+    bit).
+    """
+    V /= _column_norms(V)
+    cols = np.arange(V.shape[1])
+    lead = V[(np.abs(V) > _GAUGE_EPS).argmax(axis=0), cols]
+    size = np.hypot(lead.real, lead.imag)
+    V /= np.divide(lead, size, out=np.ones_like(lead), where=size > 0)
+    V /= _column_norms(V)
 
 
 def build_spectral_data(
-    H,
     classification: SpectrumClassification,
     eigenpairs: RawEigenpairs,
     cond_cap: float = 1e8,
@@ -277,37 +342,28 @@ def build_spectral_data(
     freedom), and S is the inverse of the resulting column matrix.
     Matched pairs are replaced by exact conjugates (z, z*) and real values
     by their real parts; the size of that adjustment is reported as
-    ``sym_shift``, never applied silently.
+    ``sym_shift``, never applied silently. The result's ``matrix`` is
+    ``eigenpairs.matrix``.
     """
-    H = as_square_matrix(H, name="H")
-    values = eigenpairs.values
-    n = values.size
+    n = eigenpairs.values.size
     if classification.r + 2 * classification.p != n:
         raise ClassificationError(
             f"classification covers {classification.r + 2 * classification.p} "
             f"indices but the spectrum has {n}"
         )
 
-    perm: list[int] = []
-    lam = np.empty(n, dtype=np.complex128)
-    shift = 0.0
-    pos = 0
-    for k in classification.real_indices:
-        lam[pos] = values[k].real
-        shift = max(shift, abs(values[k].imag))
-        perm.append(k)
-        pos += 1
+    vals = eigenpairs.values.tolist()
+    perm = list(classification.real_indices)
+    lam = [vals[k].real for k in perm]
+    shift = max((abs(vals[k].imag) for k in perm), default=0.0)
     for j_plus, j_minus in classification.pair_indices:
-        z = (values[j_plus] + values[j_minus].conjugate()) / 2.0
-        shift = max(shift, abs(values[j_plus] - z), abs(values[j_minus] - z.conjugate()))
-        lam[pos] = z
-        lam[pos + 1] = z.conjugate()
-        perm.extend((j_plus, j_minus))
-        pos += 2
+        z = _midpoint(vals[j_plus], vals[j_minus])
+        shift = max(shift, _modulus(vals[j_plus] - z), _modulus(vals[j_minus] - z.conjugate()))
+        lam += (z, z.conjugate())
+        perm += (j_plus, j_minus)
 
-    V = eigenpairs.right_vectors[:, perm].copy()
-    for c in range(n):
-        V[:, c] = _fix_column_gauge(V[:, c])
+    V = eigenpairs.right_vectors[:, perm]  # a copy
+    _fix_column_gauge(V)
 
     cond = float(np.linalg.cond(V))
     if not np.isfinite(cond) or cond > cond_cap:
@@ -319,9 +375,10 @@ def build_spectral_data(
     except np.linalg.LinAlgError as exc:
         raise IllConditionedError(f"eigenvector matrix is singular: {exc}") from exc
 
+    lam = np.array(lam, dtype=np.complex128)
     min_gap = assert_nondegenerate(lam, gap_tol=0.0)
     return SpectralData(
-        matrix=H,
+        matrix=eigenpairs.matrix,
         lam=lam,
         S=S,
         r=classification.r,
@@ -341,13 +398,12 @@ def decompose(
     or :class:`IllConditionedError` when the input falls outside the
     supported class (non-admissible, degenerate, or numerically hopeless).
     ``eigenpairs``, if given, must be ``eigendecompose(H)``; it saves
-    diagonalizing H again.
+    validating and diagonalizing H again.
     """
-    H = as_square_matrix(H, name="H")
     eig = eigendecompose(H) if eigenpairs is None else eigenpairs
     cls = classify_spectrum(eig.values, eps_real=tol.eps_real, eps_pair=tol.eps_pair)
     assert_nondegenerate(eig.values, gap_tol=tol.gap_tol)
-    return build_spectral_data(H, cls, eig, cond_cap=tol.cond_cap)
+    return build_spectral_data(cls, eig, cond_cap=tol.cond_cap)
 
 
 def biorthogonality_check(sd: SpectralData) -> float:

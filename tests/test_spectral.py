@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -12,9 +12,15 @@ from phm.errors import (
     ClassificationError,
     DegenerateSpectrumError,
     IllConditionedError,
+    PhmError,
 )
 from phm.spectral import (
+    _GAUGE_EPS,
+    RawEigenpairs,
+    SpectralData,
+    SpectrumClassification,
     Tolerances,
+    _column_norms,
     assert_nondegenerate,
     biorthogonality_check,
     check_ph_admissible,
@@ -173,3 +179,265 @@ def test_tolerance_widening_classifies_noisy_reals():
         classify_spectrum(values, eps_real=1e-8, eps_pair=1e-8)
     cls = classify_spectrum(values, eps_real=1e-4, eps_pair=1e-4)
     assert cls.r == 2
+
+
+# Reference implementations: the per-column gauge and the numpy-scalar
+# classification and symmetrization that the whole-array code replaced.
+# decompose must give their bits exactly, errors included.
+
+
+def _ref_fix_column_gauge(v):
+    v = v / np.linalg.norm(v)
+    nz = np.flatnonzero(np.abs(v) > _GAUGE_EPS)
+    k = int(nz[0]) if nz.size else 0
+    phase = v[k] / abs(v[k]) if abs(v[k]) > 0 else 1.0
+    v = v / phase
+    return v / np.linalg.norm(v)
+
+
+def _ref_classify(values, eps_real=1e-8, eps_pair=1e-8):
+    values = np.asarray(values, dtype=np.complex128)
+    s = float(np.max(np.abs(values))) if values.size else 0.0
+    scale = s if s > 0.0 else 1.0
+
+    real_idx = [k for k in range(values.size) if abs(values[k].imag) <= eps_real * scale]
+    real_set = set(real_idx)
+    pos = [k for k in range(values.size) if k not in real_set and values[k].imag > 0]
+    neg = [k for k in range(values.size) if k not in real_set and values[k].imag < 0]
+
+    if len(pos) != len(neg):
+        raise ClassificationError(
+            f"odd split of non-real eigenvalues ({len(pos)} with Im>0, "
+            f"{len(neg)} with Im<0); spectrum is not conjugation-symmetric "
+            f"at eps_real={eps_real:.1e}"
+        )
+
+    pairs = []
+    unmatched = list(neg)
+    for j in pos:
+        target = values[j].conjugate()
+        dists = [abs(values[k] - target) for k in unmatched]
+        best = int(np.argmin(dists))
+        if dists[best] > eps_pair * scale:
+            raise ClassificationError(
+                f"eigenvalue {values[j]} has no conjugate partner within "
+                f"{eps_pair:.1e} * {scale:.3e} (closest miss {dists[best]:.3e})"
+            )
+        pairs.append((j, unmatched[best]))
+        del unmatched[best]
+
+    real_idx.sort(key=lambda k: values[k].real)
+
+    def pair_key(jk):
+        z = (values[jk[0]] + values[jk[1]].conjugate()) / 2.0
+        return (z.real, z.imag)
+
+    pairs.sort(key=pair_key)
+    return SpectrumClassification(tuple(real_idx), tuple(pairs), eps_real, eps_pair)
+
+
+def _ref_build(classification, eigenpairs, cond_cap=1e8):
+    values = eigenpairs.values
+    n = values.size
+    if classification.r + 2 * classification.p != n:
+        raise ClassificationError(
+            f"classification covers {classification.r + 2 * classification.p} "
+            f"indices but the spectrum has {n}"
+        )
+    perm = []
+    lam = np.empty(n, dtype=np.complex128)
+    shift = 0.0
+    pos = 0
+    for k in classification.real_indices:
+        lam[pos] = values[k].real
+        shift = max(shift, abs(values[k].imag))
+        perm.append(k)
+        pos += 1
+    for j_plus, j_minus in classification.pair_indices:
+        z = (values[j_plus] + values[j_minus].conjugate()) / 2.0
+        shift = max(shift, abs(values[j_plus] - z), abs(values[j_minus] - z.conjugate()))
+        lam[pos] = z
+        lam[pos + 1] = z.conjugate()
+        perm.extend((j_plus, j_minus))
+        pos += 2
+
+    V = eigenpairs.right_vectors[:, perm].copy()
+    for c in range(n):
+        V[:, c] = _ref_fix_column_gauge(V[:, c])
+
+    cond = float(np.linalg.cond(V))
+    if not np.isfinite(cond) or cond > cond_cap:
+        raise IllConditionedError(
+            f"diagonalizer condition number {cond:.3e} exceeds cap {cond_cap:.1e}"
+        )
+    try:
+        S = np.linalg.inv(V)
+    except np.linalg.LinAlgError as exc:
+        raise IllConditionedError(f"eigenvector matrix is singular: {exc}") from exc
+    min_gap = assert_nondegenerate(lam, gap_tol=0.0)
+    return SpectralData(eigenpairs.matrix, lam, S, classification.r, classification.p,
+                        min_gap, cond, shift)
+
+
+def _ref_decompose(H, tol=Tolerances(), eigenpairs=None):
+    eig = eigendecompose(H) if eigenpairs is None else eigenpairs
+    cls = _ref_classify(eig.values, eps_real=tol.eps_real, eps_pair=tol.eps_pair)
+    assert_nondegenerate(eig.values, gap_tol=tol.gap_tol)
+    return _ref_build(cls, eig, cond_cap=tol.cond_cap)
+
+
+def _bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+def _outcome(fn, *args, **kwargs):
+    """The bits of every result field, or the error's type and message."""
+    with np.errstate(all="ignore"):
+        try:
+            out = fn(*args, **kwargs)
+        except (PhmError, np.linalg.LinAlgError) as exc:
+            return type(exc), str(exc)
+    if isinstance(out, SpectrumClassification):
+        return out
+    return (out.matrix.tobytes(), out.lam.tobytes(), out.S.tobytes(), out.S.strides,
+            out.r, out.p, _bits(out.min_gap), _bits(out.cond_S), _bits(out.sym_shift))
+
+
+def _assert_matches_reference(eig: RawEigenpairs, tol: Tolerances = Tolerances()):
+    expected = _outcome(_ref_classify, eig.values, tol.eps_real, tol.eps_pair)
+    assert _outcome(classify_spectrum, eig.values, tol.eps_real, tol.eps_pair) == expected
+    expected = _outcome(_ref_decompose, eig.matrix, tol, eig)
+    assert _outcome(decompose, eig.matrix, tol, eig) == expected
+
+
+def _crafted(values, vectors=None, matrix=None) -> RawEigenpairs:
+    values = np.asarray(values, dtype=np.complex128)
+    n = values.size
+    if vectors is None:
+        vectors = np.eye(n) + 0.25 * np.arange(n * n).reshape(n, n) / n**2
+    vectors = np.asarray(vectors, dtype=np.complex128)
+    if matrix is None:
+        matrix = vectors @ np.diag(values) @ np.linalg.inv(vectors)
+    return RawEigenpairs(values=values, right_vectors=vectors, matrix=matrix)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 16, 32, 64, 128])
+def test_decompose_matches_reference_on_generated(n):
+    for p in sorted({0, n // 4, n // 2}):
+        inst = make_instance(n, n - 2 * p, p, seed=700 + n + p)
+        assert _outcome(decompose, inst.H) == _outcome(_ref_decompose, inst.H)
+        _assert_matches_reference(eigendecompose(inst.H))
+
+
+# Columns whose leading entries lie below _GAUGE_EPS. The first two entries
+# are above the threshold by array np.abs but not by np.hypot (the scalar
+# modulus) on AVX-512 builds of numpy; the threshold test keeps np.abs.
+_SMALL_LEADS = [
+    complex(-7.838140031521431e-13, -6.209956589724378e-13),
+    complex(9.17935253630303e-13, -3.967302233794036e-13),
+    1e-13,
+    -5e-13j,
+    complex(0.0, -0.0),
+    complex(-0.0, 0.0),
+    _GAUGE_EPS,
+]
+
+_EXACT_EDGE = 2.0**-19  # eps_real * scale below, held exactly
+
+
+@pytest.mark.parametrize(
+    "values, tol",
+    [
+        # distance ties: 1.5-1j and 0.5-1j both lie 0.5 from conj(1+1j)
+        ([1 + 1j, 2 + 1j, 1.5 - 1j, 0.5 - 1j], Tolerances(eps_pair=1.0)),
+        ([2 + 1j, 1 + 1j, 0.5 - 1j, 1.5 - 1j], Tolerances(eps_pair=1.0)),
+        # signed zeros in the imaginary and real parts
+        ([complex(1, -0.0), complex(2, 0.0), complex(-0.0, 1), complex(-0.0, -1)], Tolerances()),
+        ([complex(-0.0, 3), complex(0.0, -3), complex(-0.0, -0.0)], Tolerances()),
+        ([complex(0.0, 2), complex(-0.0, -2), complex(-0.0, 1), complex(-0.0, -1)], Tolerances()),
+        # |Im| exactly at eps_real * scale counts as real; one unit above does not
+        ([2.0, complex(1, _EXACT_EDGE), complex(0.5, -_EXACT_EDGE)], Tolerances(eps_real=2.0**-20)),
+        (
+            [2.0, complex(1, np.nextafter(_EXACT_EDGE, 1)), complex(0.5, -_EXACT_EDGE)],
+            Tolerances(eps_real=2.0**-20),
+        ),
+        (
+            [2.0, complex(1, np.nextafter(_EXACT_EDGE, 1)), complex(1, -np.nextafter(_EXACT_EDGE, 1))],
+            Tolerances(eps_real=2.0**-20, eps_pair=2.0**-20),
+        ),
+        # an unpaired value and a miss outside eps_pair
+        ([1 + 1j, 1 - 1j, 3 + 1j], Tolerances()),
+        ([1 + 1j, 1 - 1.5j], Tolerances()),
+        # degenerate values
+        ([1.0, 1.0, 2.0], Tolerances()),
+        # a NaN distance is the smallest, as for np.argmin
+        ([1 + 1j, 2 + 1j, 1 - 1j, complex(np.nan, -1)], Tolerances(eps_pair=1.0)),
+        # a distance whose modulus overflows, though both parts are finite
+        ([complex(-0.85e308, 0.75e308), complex(0.85e308, -0.05e308)], Tolerances()),
+    ],
+)
+def test_decompose_matches_reference_on_crafted_spectra(values, tol):
+    _assert_matches_reference(_crafted(values), tol)
+
+
+@pytest.mark.parametrize("lead", _SMALL_LEADS)
+def test_gauge_matches_reference_below_gauge_eps(lead):
+    # column 0 is (lead, 1, 0, ...): unit norm exactly, so lead survives the
+    # first normalization unchanged and decides which entry is made real
+    n = 4
+    vectors = np.eye(n, dtype=np.complex128) + 0.3j * np.eye(n, k=1)
+    vectors[:, 0] = 0.0
+    vectors[0, 0], vectors[1, 0] = lead, 1.0
+    vectors[:, 2] = [lead, lead, 0.6, 0.8j]
+    eig = _crafted([1.0, 2.0, 1 + 1j, 1 - 1j], vectors)
+    _assert_matches_reference(eig)
+    sd = decompose(eig.matrix, eigenpairs=eig)
+    assert sd.r == 2 and sd.p == 1
+
+
+def test_gauge_matches_reference_on_a_zero_column():
+    vectors = np.eye(3, dtype=np.complex128)
+    vectors[:, 1] = 0.0
+    _assert_matches_reference(_crafted([1.0, 2.0, 3.0], vectors, matrix=np.eye(3)))
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    r=st.integers(0, 6),
+    p=st.integers(0, 5),
+    seed=st.integers(0, 2**32 - 1),
+    noise=st.sampled_from([0.0, 1e-14, 1e-10, 1e-7, 1e-4]),
+    eps=st.sampled_from([1e-8, 1e-5, 1e-2]),
+)
+def test_decompose_matches_reference_on_perturbed_spectra(r, p, seed, noise, eps):
+    n = r + 2 * p
+    assume(n > 0)
+    rng = np.random.Generator(np.random.Philox(seed))
+    zs = rng.uniform(-1, 1, p) + 1j * rng.uniform(0, 1, p)
+    values = np.concatenate([rng.uniform(-1, 1, r).astype(complex), zs, zs.conj()])
+    values += noise * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    vectors = np.eye(n) + 0.3 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    eig = _crafted(values[rng.permutation(n)], vectors, matrix=np.zeros((n, n)))
+    _assert_matches_reference(eig, Tolerances(eps_real=eps, eps_pair=eps))
+
+
+def test_hypot_is_the_modulus_of_a_complex_scalar():
+    """The gauge takes moduli by np.hypot over arrays, the classification by
+    abs of Python complex; both must be abs of a numpy complex scalar, the
+    modulus the per-element code took, on every magnitude."""
+    rng = np.random.default_rng(13)
+    z = 10.0 ** rng.uniform(-310, 308, 20000) * np.exp(2j * np.pi * rng.uniform(size=20000))
+    expected = np.array([abs(x) for x in z])
+    assert np.hypot(z.real, z.imag).tobytes() == expected.tobytes()
+    assert np.array([abs(x) for x in z.tolist()]).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 17, 64, 200])
+def test_batched_column_norms_match_linalg_norm(n):
+    rng = np.random.default_rng(n)
+    V = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    V *= 10.0 ** rng.uniform(-150, 150, n)
+    perm = rng.permutation(n).tolist()
+    for W in (V, np.asfortranarray(V), V[:, perm], eigendecompose(V).right_vectors[:, perm]):
+        expected = np.array([np.linalg.norm(W[:, c]) for c in range(n)])
+        assert _column_norms(W).tobytes() == expected.tobytes()

@@ -331,7 +331,7 @@ def test_decompose_matches_reference_on_generated(n):
 
 # Columns whose leading entries lie below _GAUGE_EPS. The first two entries
 # are above the threshold by array np.abs but not by np.hypot (the scalar
-# modulus) on AVX-512 builds of numpy; the threshold test keeps np.abs.
+# modulus) with numpy 2.4 on x86-64; the threshold test keeps np.abs.
 _SMALL_LEADS = [
     complex(-7.838140031521431e-13, -6.209956589724378e-13),
     complex(9.17935253630303e-13, -3.967302233794036e-13),

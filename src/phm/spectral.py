@@ -314,8 +314,9 @@ def _column_norms(V: np.ndarray) -> np.ndarray:
 def _fix_column_gauge(V: np.ndarray) -> None:
     """Scale each column of V in place to unit norm, first nonzero component real positive.
 
-    The first component above ``_GAUGE_EPS`` after normalizing (component 0
-    if none is) is divided by its modulus. Every step is the arithmetic of
+    Each column is divided by the phase (entry over modulus) of its first
+    component above ``_GAUGE_EPS`` after normalizing, component 0 if none
+    is, and normalized again. Every step is the arithmetic of
     one column at a time, done for all columns at once: the threshold test
     keeps the array ``np.abs`` and the modulus is ``np.hypot``, which is
     ``abs`` of a numpy complex scalar (array ``np.abs`` is not, in the last

@@ -64,7 +64,7 @@ from .errors import (
     PhmError,
 )
 from .generators import GeneratorConfig, _observable_instance, generate_via_spectrum
-from .matrices import hermiticity_defect, hermitize, unit_scaled
+from .matrices import HERMITICITY_TOL, hermiticity_defect, hermitize, unit_scaled
 from .metrics import (
     TWO_PI,
     CanonicalClass,
@@ -75,8 +75,9 @@ from .metrics import (
     inertia_of_matrix,
     intertwining_residual,
 )
-from .oracle import family_vs_kernel, hermitian_basis, solution_space
+from .oracle import MATCH_DEFECT_TOL, RANK_GAP_WARN, family_vs_kernel, hermitian_basis, solution_space
 from .spectral import (
+    DEFAULT_TOL,
     AdmissibilityReport,
     SpectralData,
     Tolerances,
@@ -96,8 +97,6 @@ EXIT_GENERATE = 7
 EXIT_GATE = 8
 
 RESIDUAL_GATE = 1e-9
-HERMITICITY_GATE = 1e-10
-MATCH_DEFECT_GATE = 1e-8
 MIN_PARAM_MAGNITUDE = 1e-6
 
 _EXIT_FOR_ERROR: list[tuple[type, int]] = [
@@ -322,7 +321,7 @@ def _split_csv(raw: str | None) -> list[str]:
 def _default_tolerance() -> float:
     raw = os.environ.get("PHM_DEFAULT_TOL")
     if raw is None:
-        return 1e-8
+        return DEFAULT_TOL
     try:
         tol = float(raw)
     except ValueError:
@@ -416,6 +415,11 @@ def _emit_metric_result(M: np.ndarray, inertia, residual: float) -> int:
             "residual": float(residual),
         }
     )
+    return _residual_gate(residual)
+
+
+def _residual_gate(residual: float) -> int:
+    """EXIT_OK, or EXIT_GATE with a stderr line when the residual fails its gate."""
     if not residual <= RESIDUAL_GATE:  # a NaN residual fails too
         print(
             f"warning: residual {residual:.3e} exceeds gate {RESIDUAL_GATE:g}",
@@ -541,7 +545,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         "expected_dimension": sd.n,
         "singular_value_tail": [float(s) for s in report.singular_values[: 2 * sd.n]],
         "gap_ratio": None if math.isinf(report.gap_ratio) else report.gap_ratio,
-        "warning": "rank decision is ambiguous (gap ratio < 10)"
+        "warning": f"rank decision is ambiguous (gap ratio < {RANK_GAP_WARN:g})"
         if report.rank_ambiguous
         else None,
     }
@@ -556,11 +560,16 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     doc["max_recovery_defect"] = match.max_recovery_defect
     doc["params_recovered"] = match.params_recovered
     _emit(doc)
-    defects_ok = (
-        match.max_projection_defect <= MATCH_DEFECT_GATE
-        and match.max_recovery_defect <= MATCH_DEFECT_GATE
+    # family_vs_kernel has checked the kernel dimension
+    proj, rec = match.max_projection_defect, match.max_recovery_defect
+    if proj <= MATCH_DEFECT_TOL and rec <= MATCH_DEFECT_TOL:
+        return EXIT_OK
+    print(
+        f"verification failed: projection defect {proj:.3e} (gate {MATCH_DEFECT_TOL:g}), "
+        f"recovery defect {rec:.3e} (gate {MATCH_DEFECT_TOL:g})",
+        file=sys.stderr,
     )
-    return EXIT_OK if report.dimension == sd.n and defects_ok else EXIT_GATE
+    return EXIT_GATE
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -597,7 +606,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     }
     doc.update(extra)
     _emit(doc)
-    return EXIT_OK if residual <= RESIDUAL_GATE else EXIT_GATE
+    return _residual_gate(residual)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -621,12 +630,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
             "inertia": [int(x) for x in inertia],
         }
     )
-    ok = defect <= HERMITICITY_GATE and residual <= RESIDUAL_GATE and inertia[2] == 0
+    ok = defect <= HERMITICITY_TOL and residual <= RESIDUAL_GATE and inertia[2] == 0
     if not ok:
         print(
             f"verification failed: residual {residual:.3e} "
             f"(gate {RESIDUAL_GATE:g}), hermiticity defect {defect:.3e} "
-            f"(gate {HERMITICITY_GATE:g}), null inertia {inertia[2]} (gate 0)",
+            f"(gate {HERMITICITY_TOL:g}), null inertia {inertia[2]} (gate 0)",
             file=sys.stderr,
         )
     return EXIT_OK if ok else EXIT_GATE
@@ -675,7 +684,7 @@ def _generate_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--r", type=int, default=None, help="number of real eigenvalues")
     p.add_argument("--p", type=int, default=None, help="number of conjugate pairs")
     p.add_argument("--seed", type=int, required=True, help="RNG seed (counter-based; same seed, same files)")
-    p.add_argument("--cond-max", type=float, default=1e6, help="condition-number cap for the similarity")
+    p.add_argument("--cond-max", type=float, default=GeneratorConfig.cond_max, help="condition-number cap for the similarity")
     p.add_argument("--mode", choices=("spectrum", "observable"), default="spectrum")
     p.add_argument("--metric", default=None, help="metric JSON file (observable mode input)")
     p.add_argument("--out", required=True, help="output path prefix; writes PREFIX_H.json etc.")

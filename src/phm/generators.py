@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GenerationError, ParameterError
-from .matrices import as_square_matrix, hermitize, lock, require_hermitian, unit_scaled
+from .matrices import hermitize, lock, require_hermitian, unit_scaled
 from .metrics import MetricParameters, MetricResult, build_M, intertwining_residual
 from .spectral import SpectralData, assert_nondegenerate
 
@@ -170,23 +170,20 @@ def generate_via_spectrum(cfg: GeneratorConfig) -> GeneratedInstance:
     return GeneratedInstance(H=H, sd=sd, certificate=certificate)
 
 
-def generate_via_observable(M, seed: int, herm_tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
+def generate_via_observable(M, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Build an instance compatible with a prescribed invertible metric.
 
     Draws a random hermitian observable A and returns (A M, A). The
     product is compatible with M by construction:
-    (A M)^dagger M = M A M = M (A M).
+    (A M)^dagger M = M A M = M (A M). M must pass :func:`require_hermitian`.
     """
-    Phi, A, _ = _observable_instance(M, seed, herm_tol)
+    Phi, A, _ = _observable_instance(M, seed)
     return Phi, A
 
 
-def _observable_instance(
-    M, seed: int, herm_tol: float = 1e-10
-) -> tuple[np.ndarray, np.ndarray, float]:
+def _observable_instance(M, seed: int) -> tuple[np.ndarray, np.ndarray, float]:
     """``generate_via_observable``'s (A M, A), plus the residual it checked."""
-    M = as_square_matrix(M, name="M")
-    require_hermitian(M, tol=herm_tol, name="M")
+    M = require_hermitian(M, name="M")
     w = np.linalg.eigvalsh(hermitize(unit_scaled(M)))  # M + M^dagger overflows near 1e308
     scale = float(np.max(np.abs(w)))
     if scale == 0.0 or float(np.min(np.abs(w))) <= 1e-12 * scale:

@@ -21,6 +21,8 @@ SIGMA_X.setflags(write=False)
 SIGMA_Y.setflags(write=False)
 SIGMA_Z.setflags(write=False)
 
+HERMITICITY_TOL = 1e-10  # largest relative hermiticity defect accepted as hermitian
+
 
 def as_square_matrix(a, name: str = "matrix") -> np.ndarray:
     """Validate and convert input to a square, finite complex128 array."""
@@ -74,13 +76,13 @@ def unit_scaled(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def require_hermitian(a: np.ndarray, tol: float = 1e-10, name: str = "matrix") -> np.ndarray:
-    """Raise unless ``a`` is hermitian to relative tolerance ``tol``."""
+def require_hermitian(a: np.ndarray, name: str = "matrix") -> np.ndarray:
+    """Raise unless ``a`` is hermitian to relative defect ``HERMITICITY_TOL``."""
     m = as_square_matrix(a, name=name)
     defect = hermiticity_defect(m)
-    if not defect <= tol:  # a NaN defect fails too
+    if not defect <= HERMITICITY_TOL:  # a NaN defect fails too
         raise NonHermitianError(
-            f"{name} is not hermitian: relative defect {defect:.3e} > {tol:.1e}"
+            f"{name} is not hermitian: relative defect {defect:.3e} > {HERMITICITY_TOL:.1e}"
         )
     return m
 

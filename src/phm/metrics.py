@@ -50,6 +50,7 @@ TWO_PI = 2.0 * math.pi
 _ROT_X_TO_Z = lock(np.array([[1.0, 1.0], [-1.0, 1.0]], dtype=np.complex128) / math.sqrt(2.0))
 
 MAX_LISTED_BITS = 20  # class_tables lists at most 2**20 classes
+NULL_EIGENVALUE_TOL = 1e-10  # inertia_of_matrix's null cut, relative to max |eigenvalue|
 
 
 @dataclass(frozen=True)
@@ -159,27 +160,22 @@ def build_m(params: MetricParameters) -> np.ndarray:
     return block_diag(*blocks)
 
 
-def intertwining_residual(
-    H,
-    M,
-    check_hermitian: bool = True,
-    herm_tol: float = 1e-10,
-) -> float:
+def intertwining_residual(H, M, check_hermitian: bool = True) -> float:
     """Relative Frobenius norm of H^dagger M - M H.
 
     Returns ||H^dagger M - M H||_F / (||H||_F ||M||_F), the figure of
     merit for M being a metric compatible with H. ``check_hermitian=False``
-    skips the hermiticity gate (used when diagnosing arbitrary candidate
-    matrices). Both figures are scale-free, so they are computed on
-    power-of-two scaled copies of H and M: the same bits, without
-    overflow for entries near 1e308 or parameters near 1e200.
+    skips the hermiticity gate, :func:`require_hermitian` (used when
+    diagnosing arbitrary candidate matrices). Both figures are scale-free,
+    so they are computed on power-of-two scaled copies of H and M: the same
+    bits, without overflow for entries near 1e308 or parameters near 1e200.
     """
     H = unit_scaled(as_square_matrix(H, name="H"))
     M = unit_scaled(as_square_matrix(M, name="M"))
     if H.shape != M.shape:
         raise DimensionError(f"H has shape {H.shape} but M has shape {M.shape}")
     if check_hermitian:
-        require_hermitian(M, tol=herm_tol, name="M")
+        require_hermitian(M, name="M")
     R = H.conj().T @ M - M @ H
     den = frobenius(H) * frobenius(M)
     if den == 0.0:
@@ -332,19 +328,20 @@ def inertia_of_params(params: MetricParameters, p: int) -> tuple[int, int]:
     return (p + pos, p + (params.r - pos))
 
 
-def inertia_of_matrix(M, tol: float = 1e-10, check_hermitian: bool = True) -> tuple[int, int, int]:
+def inertia_of_matrix(M, check_hermitian: bool = True) -> tuple[int, int, int]:
     """Counts of positive, negative and null eigenvalues of a hermitian matrix.
 
-    Eigenvalues within tol * ||M|| of zero count as null. Congruence
-    invariance (Sylvester) makes this agree with
-    :func:`inertia_of_params` for any metric built from valid parameters.
-    ``check_hermitian=False`` takes M as the hermitian part already (say,
-    :func:`hermitize`'s output), so neither the gate nor the projection runs.
+    Eigenvalues within NULL_EIGENVALUE_TOL times the largest |eigenvalue|
+    of zero count as null. Congruence invariance (Sylvester) makes this
+    agree with :func:`inertia_of_params` for any metric built from valid
+    parameters. ``check_hermitian=False`` takes M as the hermitian part
+    already (say, :func:`hermitize`'s output), so neither the hermiticity
+    gate nor the projection runs.
     """
     if check_hermitian:
-        M = hermitize(require_hermitian(M, tol=tol if tol > 0 else 1e-10, name="M"))
+        M = hermitize(require_hermitian(M, name="M"))
     w = np.linalg.eigvalsh(M)
-    cut = tol * (float(np.max(np.abs(w))) if w.size else 0.0)
+    cut = NULL_EIGENVALUE_TOL * (float(np.max(np.abs(w))) if w.size else 0.0)
     pos = int(np.sum(w > cut))
     neg = int(np.sum(w < -cut))
     return (pos, neg, w.size - pos - neg)

@@ -29,7 +29,9 @@ from .metrics import build_M
 from .spectral import SpectralData
 
 ORACLE_DIM_CAP = 32
+RANK_TOL = 1e-8  # kernel: singular values at most RANK_TOL times the largest
 RANK_GAP_WARN = 10.0
+MATCH_DEFECT_TOL = 1e-8  # largest family/kernel span defect accepted
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
@@ -70,15 +72,14 @@ class KernelReport:
 
     ``singular_values`` are ascending; ``gap_ratio`` is the ratio of the
     first kept to the last discarded singular value, a confidence proxy
-    for the rank decision (below 10 the rank is flagged ambiguous, as a
-    warning rather than an error).
+    for the rank decision (below RANK_GAP_WARN the rank is flagged
+    ambiguous, as a warning rather than an error).
     """
 
     dimension: int
     basis: np.ndarray  # shape (dimension, n, n), hermitian, trace-orthonormal
     singular_values: np.ndarray
     gap_ratio: float
-    rank_tol: float
 
     def __post_init__(self):
         lock(self.basis)
@@ -187,11 +188,11 @@ def intertwining_operator_matrix(H, basis: HermitianBasis | None = None) -> np.n
     return np.bincount(flat.ravel(), weights=weights.ravel(), minlength=N * N).reshape(N, N)
 
 
-def solution_space(H, rank_tol: float = 1e-8, basis: HermitianBasis | None = None) -> KernelReport:
+def solution_space(H, basis: HermitianBasis | None = None) -> KernelReport:
     """All hermitian solutions of the intertwining equation, by dense SVD.
 
     Kernel vectors are the right singular vectors whose singular value is
-    at most rank_tol times the largest one. For a non-degenerate
+    at most RANK_TOL times the largest one. For a non-degenerate
     admissible matrix the dimension equals n = r + 2p, one real dimension
     per free family parameter. Degenerate spectra (outside the supported
     class, but useful for diagnostics) yield larger kernels.
@@ -202,20 +203,14 @@ def solution_space(H, rank_tol: float = 1e-8, basis: HermitianBasis | None = Non
     L = intertwining_operator_matrix(H, basis=basis)
     _, s, vt = np.linalg.svd(L)
     smax = float(s[0]) if s.size else 0.0
-    dim = int(np.sum(s <= rank_tol * smax))
+    dim = int(np.sum(s <= RANK_TOL * smax))
     kernel = matrix_from_coords(basis, vt[vt.shape[0] - dim :])
     s_asc = s[::-1].copy()
     if dim == 0 or dim == s_asc.size or s_asc[dim - 1] == 0.0:
         gap = np.inf
     else:
         gap = float(s_asc[dim] / s_asc[dim - 1])
-    return KernelReport(
-        dimension=dim,
-        basis=kernel,
-        singular_values=s_asc,
-        gap_ratio=gap,
-        rank_tol=rank_tol,
-    )
+    return KernelReport(dimension=dim, basis=kernel, singular_values=s_asc, gap_ratio=gap)
 
 
 def _family_design_matrix(sd: SpectralData, basis: HermitianBasis) -> np.ndarray:
@@ -248,7 +243,6 @@ def family_vs_kernel(
     report: KernelReport,
     n_samples: int = 10,
     seed: int = 0,
-    defect_tol: float = 1e-8,
     basis: HermitianBasis | None = None,
 ) -> FamilyKernelMatch:
     """Check that the parametrized family and the kernel span the same space.
@@ -288,5 +282,5 @@ def family_vs_kernel(
     return FamilyKernelMatch(
         max_projection_defect=max_proj,
         max_recovery_defect=max_rec,
-        params_recovered=bool(max_rec <= defect_tol),
+        params_recovered=bool(max_rec <= MATCH_DEFECT_TOL),
     )

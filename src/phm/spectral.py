@@ -29,20 +29,22 @@ from .matrices import as_square_matrix, frobenius, lock
 # when fixing the column phase gauge.
 _GAUGE_EPS = 1e-12
 
+DEFAULT_TOL = 1e-8  # the default relative classification and degeneracy tolerance
+
 
 @dataclass(frozen=True)
 class Tolerances:
     """Relative tolerances for the classification pipeline.
 
     Double-precision eigensolvers deliver ~1e-12 on well-conditioned
-    problems of dimension <= 100; the 1e-8 defaults leave headroom.
+    problems of dimension <= 100; the DEFAULT_TOL defaults leave headroom.
     Beyond ``cond_cap`` we refuse to build metrics rather than return
     garbage.
     """
 
-    eps_real: float = 1e-8
-    eps_pair: float = 1e-8
-    gap_tol: float = 1e-8
+    eps_real: float = DEFAULT_TOL
+    eps_pair: float = DEFAULT_TOL
+    gap_tol: float = DEFAULT_TOL
     cond_cap: float = 1e8
 
 
@@ -144,7 +146,7 @@ def _scale(values: np.ndarray) -> float:
 
 
 def check_ph_admissible(
-    H, tol: float = 1e-8, eigenpairs: RawEigenpairs | None = None
+    H, tol: float = DEFAULT_TOL, eigenpairs: RawEigenpairs | None = None
 ) -> AdmissibilityReport:
     """Check that the characteristic polynomial has real coefficients.
 
@@ -174,7 +176,7 @@ def eigendecompose(H) -> RawEigenpairs:
 
 
 def classify_spectrum(
-    values, eps_real: float = 1e-8, eps_pair: float = 1e-8
+    values, eps_real: float = DEFAULT_TOL, eps_pair: float = DEFAULT_TOL
 ) -> SpectrumClassification:
     """Split eigenvalues into real singles and complex-conjugate pairs.
 
@@ -273,7 +275,7 @@ def _midpoint(a: complex, b: complex) -> complex:
     return (a + b.conjugate()) / (2 + 0j)
 
 
-def assert_nondegenerate(values, gap_tol: float = 1e-8) -> float:
+def assert_nondegenerate(values, gap_tol: float = DEFAULT_TOL) -> float:
     """Return the smallest pairwise eigenvalue distance; reject degeneracy.
 
     The block structure of the metric family relies on every pair of
@@ -333,7 +335,7 @@ def _fix_column_gauge(V: np.ndarray) -> None:
 def build_spectral_data(
     classification: SpectrumClassification,
     eigenpairs: RawEigenpairs,
-    cond_cap: float = 1e8,
+    cond_cap: float = Tolerances.cond_cap,
 ) -> SpectralData:
     """Order, symmetrize and gauge-fix the raw eigendecomposition.
 

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -21,9 +22,10 @@ from phm.cli import (
     parse_real_literal,
     read_matrix_file,
 )
-from phm.errors import FileFormatError, ParameterError
-from phm.matrices import SIGMA_X, SIGMA_Z
-from phm.metrics import is_global_representative
+from phm.errors import FileFormatError, GenerationError, NonHermitianError, ParameterError
+from phm.generators import generate_via_observable
+from phm.matrices import HERMITICITY_TOL, SIGMA_X, SIGMA_Z, hermiticity_defect, require_hermitian
+from phm.metrics import inertia_of_matrix, intertwining_residual, is_global_representative
 
 
 def run(capsys, *argv, parse=True):
@@ -652,6 +654,105 @@ def test_verify_entries_near_overflow(capsys, tmp_path):
     assert '"residual": 0.0' in out
     assert json.loads(out)["inertia"] == [1, 1, 0]
     assert err == ""
+
+
+# ----------------------------------------------------------- gate limits
+
+
+def test_generate_gate_failure_names_residual_on_stderr(capsys, tmp_path, monkeypatch):
+    import phm.cli as cli
+
+    original = cli.generate_via_spectrum
+
+    def forced(cfg):
+        inst = original(cfg)
+        cert = dataclasses.replace(inst.certificate, residual=2e-9)
+        return dataclasses.replace(inst, certificate=cert)
+
+    monkeypatch.setattr(cli, "generate_via_spectrum", forced)
+    code, doc, err = run(
+        capsys, "generate", "--n", "4", "--r", "2", "--p", "1", "--seed", "1",
+        "--out", str(tmp_path / "x"),
+    )
+    assert code == 8
+    assert doc["residual"] == 2e-9
+    assert err == "warning: residual 2.000e-09 exceeds gate 1e-09\n"
+
+
+@pytest.mark.parametrize(
+    "field, message",
+    [
+        ("max_projection_defect", "projection defect 3.000e-08 (gate 1e-08), recovery defect"),
+        ("max_recovery_defect", "recovery defect 3.000e-08 (gate 1e-08)"),
+    ],
+)
+def test_oracle_gate_failure_names_defects_on_stderr(capsys, monkeypatch, diag_file, field, message):
+    import phm.cli as cli
+
+    original = cli.family_vs_kernel
+    monkeypatch.setattr(
+        cli, "family_vs_kernel",
+        lambda *a, **k: dataclasses.replace(original(*a, **k), **{field: 3e-8}),
+    )
+    code, doc, err = run(capsys, "oracle", diag_file)
+    assert code == 8
+    assert doc[field] == 3e-8
+    assert err.startswith("verification failed: projection defect ")
+    assert message in err and err.count("\n") == 1
+
+
+def test_oracle_ambiguous_rank_warning(capsys, monkeypatch, diag_file):
+    import phm.cli as cli
+
+    original = cli.solution_space
+    monkeypatch.setattr(
+        cli, "solution_space", lambda *a, **k: dataclasses.replace(original(*a, **k), gap_ratio=5.0)
+    )
+    code, text, _ = run(capsys, "oracle", diag_file, parse=False)
+    assert code == 0
+    assert '"warning": "rank decision is ambiguous (gap ratio < 10)"' in text
+    assert json.loads(text)["gap_ratio"] == 5.0
+
+
+def _off_hermitian(tmp_path, factor):
+    """sigma_z + i eps I with relative hermiticity defect factor * HERMITICITY_TOL, and its file.
+
+    The defect is ||2 i eps I|| / ||sigma_z + i eps I|| = 2 eps / sqrt(1 + eps^2).
+    sigma_z is compatible with ROT2, so the residual against ROT2 is about
+    sqrt(2) eps, far below the residual gate.
+    """
+    M = SIGMA_Z + 0.5j * factor * HERMITICITY_TOL * np.eye(2)
+    assert hermiticity_defect(M) == pytest.approx(factor * HERMITICITY_TOL, rel=1e-9)
+    return M, write_matrix_json(tmp_path / "m.json", M)
+
+
+def test_hermiticity_limit_rejects_twice_the_limit_everywhere(capsys, tmp_path, rot_file):
+    M, path = _off_hermitian(tmp_path, 2.0)
+    for consumer in (
+        lambda: require_hermitian(M),
+        lambda: intertwining_residual(ROT2, M, check_hermitian=True),
+        lambda: inertia_of_matrix(M),
+        lambda: generate_via_observable(M, seed=1),
+    ):
+        with pytest.raises(NonHermitianError):
+            consumer()
+    code, doc, err = run(capsys, "verify", rot_file, path)
+    assert code == 8
+    assert doc["inertia"] == [1, 1, 0] and doc["residual"] <= 1e-9
+    assert "hermiticity defect" in err
+
+
+def test_hermiticity_limit_passes_half_the_limit_everywhere(capsys, tmp_path, rot_file):
+    M, path = _off_hermitian(tmp_path, 0.5)
+    require_hermitian(M)
+    assert intertwining_residual(ROT2, M, check_hermitian=True) <= 1e-9
+    assert inertia_of_matrix(M) == (1, 1, 0)
+    try:
+        generate_via_observable(M, seed=1)
+    except GenerationError as exc:  # its own, separate residual check
+        assert "residual" in str(exc)
+    code, _, err = run(capsys, "verify", rot_file, path)
+    assert code == 0 and err == ""
 
 
 # ------------------------------------------------------------------- misc

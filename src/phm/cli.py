@@ -46,7 +46,7 @@ import math
 import os
 import re
 import sys
-from itertools import chain, repeat
+from itertools import chain, product, repeat
 
 import numpy as np
 
@@ -63,7 +63,7 @@ from .errors import (
     ParameterError,
     PhmError,
 )
-from .generators import GeneratorConfig, _observable_instance, generate_via_spectrum
+from .generators import GeneratorConfig, generate_via_observable, generate_via_spectrum
 from .matrices import HERMITICITY_TOL, hermiticity_defect, hermitize, unit_scaled
 from .metrics import (
     TWO_PI,
@@ -71,7 +71,7 @@ from .metrics import (
     MetricParameters,
     build_M,
     canonical_metric,
-    class_tables,
+    class_letters,
     inertia_of_matrix,
     intertwining_residual,
 )
@@ -444,26 +444,15 @@ def cmd_metric(args: argparse.Namespace) -> int:
     return _emit_metric_result(result.M, result.inertia, result.residual)
 
 
-def _parse_signs(raw: str | None) -> tuple[int, ...]:
+def _parse_letters(raw: str | None, tokens: dict, what: str) -> tuple[int, ...]:
+    """The values in ``tokens`` of the comma-separated tokens of ``raw``;
+    ``what`` opens the error message for a token not in ``tokens``."""
     out = []
     for tok in _split_csv(raw):
-        t = tok.strip()
-        if t == "+":
-            out.append(1)
-        elif t == "-":
-            out.append(-1)
-        else:
-            raise ParameterError(f"signs must be '+' or '-', got {tok!r}")
-    return tuple(out)
-
-
-def _parse_bits(raw: str | None) -> tuple[int, ...]:
-    out = []
-    for tok in _split_csv(raw):
-        t = tok.strip()
-        if t not in ("0", "1"):
-            raise ParameterError(f"orientation bits must be 0 or 1, got {tok!r}")
-        out.append(int(t))
+        value = tokens.get(tok.strip())
+        if value is None:
+            raise ParameterError(f"{what}, got {tok!r}")
+        out.append(value)
     return tuple(out)
 
 
@@ -474,8 +463,8 @@ def _reduce_angle(t: float) -> float:
 
 def cmd_canonical(args: argparse.Namespace) -> int:
     sd = _decompose_file(args.path, args)
-    signs = _parse_signs(args.signs)
-    bits = _parse_bits(args.n)
+    signs = _parse_letters(args.signs, {"+": 1, "-": -1}, "signs must be '+' or '-'")
+    bits = _parse_letters(args.n, {"0": 0, "1": 1}, "orientation bits must be 0 or 1")
     theta = tuple(_reduce_angle(parse_real_literal(t)) for t in _split_csv(args.theta))
     if len(signs) != sd.r or len(bits) != sd.p or len(theta) != sd.p:
         raise ParameterError(
@@ -494,10 +483,11 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     r, p = sd.r, sd.p
     k = (r + p) // 2
     junction = '], "n": ['  # before the first bit; in the tail when p = 0
-    firsts, seconds = class_tables(
-        r, p, not args.no_mod_global, signs=("1", "-1"), bits=("0", "1"),
-        sep=", ", junction=junction, split=k,
-    )
+    texts = [  # the text of each choice at each position, with what precedes it
+        [(junction if i == r else ", " if i else "") + str(c) for c in choices]
+        for i, choices in enumerate(class_letters(r, p, not args.no_mod_global))
+    ]
+    firsts, seconds = (list(map("".join, product(*half))) for half in (texts[:k], texts[k:]))
     tails = [  # by the number of negative signs
         (junction if p == 0 else "") + '], "inertia": [%d, %d, 0]}' % (p + r - neg, p + neg)
         for neg in range(r + 1)
@@ -587,12 +577,12 @@ def cmd_generate(args: argparse.Namespace) -> int:
     else:
         if args.metric is None:
             raise ParameterError("--mode observable requires --metric METRIC_FILE")
-        M_in = read_matrix_file(args.metric)
-        H, A, residual = _observable_instance(M_in, seed=args.seed)
-        M = M_in
+        M = read_matrix_file(args.metric)
+        H, A = generate_via_observable(M, seed=args.seed)
+        residual = intertwining_residual(H, M, check_hermitian=False)
         files["A"] = args.out + "_A.json"
         _write_matrix_file(files["A"], A)
-        extra = {"n": int(M_in.shape[0])}
+        extra = {"n": int(M.shape[0])}
     files["H"] = args.out + "_H.json"
     files["M"] = args.out + "_M.json"
     _write_matrix_file(files["H"], H)

@@ -23,6 +23,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -49,7 +50,7 @@ TWO_PI = 2.0 * math.pi
 # exp(i pi/4 sigma_y): quarter turn taking the x axis onto the z axis.
 _ROT_X_TO_Z = lock(np.array([[1.0, 1.0], [-1.0, 1.0]], dtype=np.complex128) / math.sqrt(2.0))
 
-MAX_LISTED_BITS = 20  # class_tables lists at most 2**20 classes
+MAX_LISTED_BITS = 20  # class_letters caps r + p, so at most 2**20 classes are listed
 NULL_EIGENVALUE_TOL = 1e-10  # inertia_of_matrix's null cut, relative to max |eigenvalue|
 
 
@@ -361,45 +362,14 @@ def is_global_representative(signs: tuple[int, ...], n: tuple[int, ...]) -> bool
     return True
 
 
-def _words(k: int, letters, sep, halve: bool = False) -> list:
-    """The 2**k words of length k over two letters, in lexicographic order.
+def class_letters(r: int, p: int, mod_global: bool = True) -> list[tuple[int, ...]]:
+    """The choices at each of the r + p positions of a discrete class.
 
-    A word is a word of its first k // 2 letters, then ``sep``, then a word
-    of the rest, so the table costs one concatenation per word. ``halve``
-    keeps the first half: the words that start with ``letters[0]``.
-    """
-    if k == 0:
-        return [sep[:0]]  # the empty word, of the letters' type
-    if k == 1:
-        return list(letters[:1] if halve else letters)
-    head = [w + sep for w in _words(k // 2, letters, sep, halve)]
-    tail = _words(k - k // 2, letters, sep)
-    return [a + b for a in head for b in tail]
-
-
-def class_tables(
-    r: int,
-    p: int,
-    mod_global: bool = True,
-    signs=((1,), (-1,)),
-    bits=((0,), (1,)),
-    sep=(),
-    junction=(),
-    split: int | None = None,
-) -> tuple[list, list]:
-    """The two tables whose lexicographic product is the discrete classes.
-
-    A class is r + p letters: r signs (+1 before -1), then p orientation
-    bits (0 before 1). The first table holds the words of the letters
-    before position ``split`` (default r: the sign rows), the second the
-    words of the rest (default: the bit rows). Inside a word, ``sep`` goes
-    before every letter but the first sign, and ``junction`` replaces it
-    before the first bit (no word holds it when p = 0). With string
-    letters a caller can print the classes from the two tables without
-    building them; splitting at (r + p) // 2 keeps both tables at most
-    2**ceil((r + p) / 2) words. With ``mod_global`` the table holding
-    position 0 is halved, which keeps the member of every {x, -x} orbit
-    whose first letter is +1 (or 0 when r = 0).
+    A class is r signs (+1 before -1), then p orientation bits (0 before 1),
+    so the product of the choices lists the classes in lexicographic order.
+    With ``mod_global`` position 0 keeps only its first choice, which keeps
+    the member of every {x, -x} orbit whose first letter is +1 (or 0 when
+    r = 0).
     """
     if r < 0 or p < 0:
         raise ParameterError("r and p must be nonnegative")
@@ -407,20 +377,27 @@ def class_tables(
         raise EnumerationCapError(
             f"refusing to list 2**{r + p} classes (cap r + p <= {MAX_LISTED_BITS})"
         )
+    letters = [(1, -1)] * r + [(0, 1)] * p
+    if mod_global and letters:
+        letters[0] = letters[0][:1]
+    return letters
+
+
+def class_tables(
+    r: int, p: int, mod_global: bool = True, split: int | None = None
+) -> tuple[list, list]:
+    """The two tables whose lexicographic product is the discrete classes.
+
+    The first table holds the words of the :func:`class_letters` before
+    position ``split`` (default r: the sign rows), the second the words of
+    the rest (default: the bit rows). Splitting at (r + p) // 2 keeps both
+    tables at most 2**ceil((r + p) / 2) words.
+    """
+    letters = class_letters(r, p, mod_global)
     split = r if split is None else split
     if not 0 <= split <= r + p:
         raise ParameterError(f"split {split} is outside [0, {r + p}]")
-
-    def table(start: int, stop: int) -> list:
-        words = [sep[:0]]
-        for lo, hi, letters in ((start, min(stop, r), signs), (max(start, r), stop, bits)):
-            if lo < hi:
-                lead = junction if lo == r else sep if lo else sep[:0]
-                run = _words(hi - lo, letters, sep, halve=mod_global and lo == 0)
-                words = [w + lead + x for w in words for x in run]
-        return words
-
-    return table(0, split), table(split, r + p)
+    return list(product(*letters[:split])), list(product(*letters[split:]))
 
 
 def enumerate_classes(

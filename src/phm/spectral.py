@@ -13,7 +13,7 @@ brute-force solution-space check) consumes the resulting
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

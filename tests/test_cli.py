@@ -22,7 +22,7 @@ from phm.cli import (
     parse_real_literal,
     read_matrix_file,
 )
-from phm.errors import FileFormatError, GenerationError, NonHermitianError, ParameterError
+from phm.errors import FileFormatError, NonHermitianError, ParameterError
 from phm.generators import generate_via_observable
 from phm.matrices import HERMITICITY_TOL, SIGMA_X, SIGMA_Z, hermiticity_defect, require_hermitian
 from phm.metrics import inertia_of_matrix, intertwining_residual, is_global_representative
@@ -363,6 +363,22 @@ def test_canonical_length_mismatch(capsys, rot_file):
     assert code == 5
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--signs", "+,x"], "signs must be '+' or '-', got 'x'"),
+        (["--signs", " 1"], "signs must be '+' or '-', got ' 1'"),
+        (["--n", "0, 2"], "orientation bits must be 0 or 1, got ' 2'"),
+        (["--n", "+"], "orientation bits must be 0 or 1, got '+'"),
+    ],
+)
+def test_canonical_bad_letter_exits_5(capsys, diag_file, flags, message):
+    code, doc, err = run(capsys, "canonical", diag_file, *flags)
+    assert code == 5
+    assert doc["error"] == {"type": "ParameterError", "message": message}
+    assert err == f"error: {message}\n"
+
+
 def test_canonical_reduces_theta_mod_2pi(capsys, rot_file):
     _, doc_a, _ = run(capsys, "canonical", rot_file, "--n", "0", "--theta", "1")
     theta_wrapped = str(1.0 + 2.0 * math.pi)
@@ -453,10 +469,14 @@ def test_enumerate_cap_exits_6(capsys, tmp_path):
     )
 
 
-# r + p -> the values of r checked. At r + p = 14 (the benchmark's scale,
-# both half tables longer than one word): r == (r + p) // 2, r = 0, p = 0
-# and their neighbours.
-_REFERENCE_SPLITS = {**{k: range(k + 1) for k in range(1, 13)}, 14: (0, 1, 7, 13, 14)}
+# r + p -> the values of r checked. At r + p = 14 and 16 (16 is the
+# benchmark's scale; both half tables longer than one word): r == (r + p) // 2,
+# r = 0, p = 0 and their neighbours.
+_REFERENCE_SPLITS = {
+    **{k: range(k + 1) for k in range(1, 13)},
+    14: (0, 1, 7, 13, 14),
+    16: (0, 1, 8, 15, 16),
+}
 
 
 @pytest.mark.parametrize("k", _REFERENCE_SPLITS)
@@ -558,6 +578,37 @@ def test_generate_observable_nonhermitian_near_1e200_exits_5(capsys, tmp_path):
     )
     assert code == 5
     assert doc["error"]["type"] == "NonHermitianError"
+
+
+def test_generate_observable_singular_metric_exits_5(capsys, tmp_path):
+    # 5e-11 is below inertia_of_matrix's null cut, so verify would call it singular
+    metric = write_matrix_json(tmp_path / "m.json", np.diag([1.0, -1.0, 5e-11]))
+    code, doc, _ = run(
+        capsys, "generate", "--mode", "observable", "--metric", metric,
+        "--seed", "1", "--out", str(tmp_path / "obs"),
+    )
+    assert code == 5
+    assert doc["error"] == {
+        "type": "ParameterError",
+        "message": "metric must be invertible (no near-zero eigenvalues)",
+    }
+    assert not os.path.exists(tmp_path / "obs_H.json")
+
+
+def test_generate_observable_accepts_what_verify_accepts(capsys, tmp_path):
+    # hermiticity defect 5e-11, inside HERMITICITY_TOL; the residual is of that order
+    M = SIGMA_Z + 2.5e-11j * np.eye(2)
+    metric = write_matrix_json(tmp_path / "m.json", M)
+    out = str(tmp_path / "obs")
+    code, doc, err = run(
+        capsys, "generate", "--mode", "observable", "--metric", metric,
+        "--seed", "1", "--out", out,
+    )
+    assert code == 0 and err == ""
+    assert 1e-12 < doc["residual"] <= 1e-9
+    code, doc, err = run(capsys, "verify", out + "_H.json", out + "_M.json")
+    assert code == 0 and err == ""
+    assert doc["inertia"] == [1, 1, 0]
 
 
 def test_generate_missing_flags(capsys, tmp_path):
@@ -747,10 +798,8 @@ def test_hermiticity_limit_passes_half_the_limit_everywhere(capsys, tmp_path, ro
     require_hermitian(M)
     assert intertwining_residual(ROT2, M, check_hermitian=True) <= 1e-9
     assert inertia_of_matrix(M) == (1, 1, 0)
-    try:
-        generate_via_observable(M, seed=1)
-    except GenerationError as exc:  # its own, separate residual check
-        assert "residual" in str(exc)
+    Phi, _ = generate_via_observable(M, seed=1)
+    assert intertwining_residual(Phi, M) <= 1e-9
     code, _, err = run(capsys, "verify", rot_file, path)
     assert code == 0 and err == ""
 

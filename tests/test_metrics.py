@@ -21,6 +21,7 @@ from phm.metrics import (
     build_m,
     build_m0,
     canonical_metric,
+    class_letters,
     class_tables,
     enumerate_classes,
     gauge_absorb,
@@ -351,6 +352,24 @@ def test_enumerate_r0_representative_uses_first_bit():
     classes = enumerate_classes(0, 2)
     assert all(b[0] == 0 for _, b in classes)
     assert len(classes) == 2
+
+
+def test_class_letters_are_signs_then_bits():
+    from phm.errors import EnumerationCapError
+
+    assert class_letters(2, 1, mod_global=False) == [(1, -1), (1, -1), (0, 1)]
+    assert class_letters(0, 2, mod_global=False) == [(0, 1), (0, 1)]
+    assert class_letters(0, 0) == []
+    # the global-flip quotient halves position 0, a sign or (r = 0) a bit
+    assert class_letters(2, 1) == [(1,), (1, -1), (0, 1)]
+    assert class_letters(0, 2) == [(0,), (0, 1)]
+    with pytest.raises(ParameterError, match="r and p must be nonnegative"):
+        class_letters(-1, 2)
+    # the cap on r + p is here, so class_tables and cmd_enumerate share it
+    assert len(class_letters(10, 10)) == 20
+    with pytest.raises(EnumerationCapError) as info:
+        class_letters(11, 10, mod_global=False)
+    assert str(info.value) == "refusing to list 2**21 classes (cap r + p <= 20)"
 
 
 @pytest.mark.parametrize("mod_global", [True, False])

@@ -17,6 +17,7 @@ exits with a documented code:
     7  generation rejection budget exhausted
     8  verification gate failed (residual, hermiticity, singular metric in
        verify, kernel match)
+    9  stdout closed before the document was written (say, piped into head)
 
 Matrix files are JSON: {"schema": 1, "n": N, "entries": [[[re, im], ...], ...]}
 with N rows of N two-element [re, im] cells. Complex command-line
@@ -95,6 +96,7 @@ EXIT_PARAMS = 5
 EXIT_CAP = 6
 EXIT_GENERATE = 7
 EXIT_GATE = 8
+EXIT_STDOUT_CLOSED = 9
 
 RESIDUAL_GATE = 1e-9
 MIN_PARAM_MAGNITUDE = 1e-6
@@ -733,6 +735,13 @@ def main(argv: list[str] | None = None) -> int:
     except (np.linalg.LinAlgError, MemoryError) as exc:
         _emit_error(exc)
         return EXIT_NUMERIC
+    except BrokenPipeError:
+        # the reader is gone; what is still buffered goes to the null device,
+        # so the flush at interpreter shutdown cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_STDOUT_CLOSED
 
 
 if __name__ == "__main__":

@@ -185,20 +185,19 @@ def generate_via_observable(M, seed: int) -> tuple[np.ndarray, np.ndarray]:
 def random_hermitian(n: int, seed: int) -> np.ndarray:
     """Random hermitian matrix: real normal diagonal, complex normal off-diagonal.
 
-    Draw order is fixed (diagonal first, then upper triangle row by row)
-    so a seed pins the matrix exactly.
+    Draw order is fixed (diagonal first, then upper triangle row by row,
+    real part before imaginary part) so a seed pins the matrix exactly.
     """
     if n < 1:
         raise ParameterError("need n >= 1")
     rng = _rng(seed)
     A = np.zeros((n, n), dtype=np.complex128)
-    d = rng.standard_normal(n)
-    np.fill_diagonal(A, d)
-    for k in range(n):
-        for l in range(k + 1, n):
-            z = complex(rng.standard_normal(), rng.standard_normal()) / np.sqrt(2.0)
-            A[k, l] = z
-            A[l, k] = np.conj(z)
+    np.fill_diagonal(A, rng.standard_normal(n))
+    k, l = np.triu_indices(n, 1)
+    # each row (re, im) of the draw read as one complex number
+    z = (rng.standard_normal((k.size, 2)) / np.sqrt(2.0)).view(np.complex128)[:, 0]
+    A[k, l] = z
+    A[l, k] = z.conj()
     return A
 
 

@@ -3,17 +3,22 @@
 Independent cross-check of the parametrized family: the equation
 H^dagger M = M H is real-linear in the hermitian unknown M, so expanding
 M over a trace-orthonormal hermitian basis turns it into a real
-n^2 x n^2 linear system whose nullspace is the space of all compatible
-metrics. The nullspace is extracted by dense SVD and compared against
-the family both ways (family members project into the kernel; kernel
-elements are reproduced by least-squares parameter fits). This path
-shares no code with the family construction beyond the basis helpers,
-which is the point: it is a desk-scale verifier, capped at n <= 32.
+n^2 x n^2 linear system L x = 0 whose nullspace is the space of all
+compatible metrics. The rank is decided on the singular values of L
+alone (no singular vectors are formed); the kernel basis comes from one
+step of inverse iteration on L^T L through the triangular factor of a
+Householder QR of L. The kernel is compared against the family both
+ways (family members project into the kernel; kernel elements are
+reproduced by least-squares parameter fits), and that two-way check
+certifies the basis. This path shares no code with the family
+construction beyond the basis helpers, which is the point: it is a
+desk-scale verifier, capped at n <= 32.
 
 Costs: coordinates are read and written by index, so the request path
 never forms the (n^2, n, n) basis tensor. The operator is assembled from
 its about 4 n^3 nonzeros into a dense n^2 x n^2 real array, O(n^4)
-memory; its SVD, O(n^6) time, is the one expensive step.
+memory. Its singular values and its QR factor, O(n^6) time each, are the
+expensive steps; no n^2 x n^2 singular-vector factor is built.
 """
 
 from __future__ import annotations
@@ -70,10 +75,13 @@ class HermitianBasis:
 class KernelReport:
     """Numerical nullspace of the linearized intertwining operator.
 
-    ``singular_values`` are ascending; ``gap_ratio`` is the ratio of the
-    first kept to the last discarded singular value, a confidence proxy
-    for the rank decision (below RANK_GAP_WARN the rank is flagged
-    ambiguous, as a warning rather than an error).
+    ``singular_values`` are those of the operator matrix, ascending, from
+    a values-only SVD; ``dimension`` counts the ones at most RANK_TOL
+    times the largest. ``gap_ratio`` is the ratio of the first kept to the
+    last discarded singular value, a confidence proxy for the rank
+    decision (below RANK_GAP_WARN the rank is flagged ambiguous, as a
+    warning rather than an error). ``basis`` is an orthonormal basis of
+    the kernel, found by inverse iteration (see :func:`solution_space`).
     """
 
     dimension: int
@@ -189,22 +197,49 @@ def intertwining_operator_matrix(H, basis: HermitianBasis | None = None) -> np.n
 
 
 def solution_space(H, basis: HermitianBasis | None = None) -> KernelReport:
-    """All hermitian solutions of the intertwining equation, by dense SVD.
+    """All hermitian solutions of the intertwining equation.
 
-    Kernel vectors are the right singular vectors whose singular value is
-    at most RANK_TOL times the largest one. For a non-degenerate
-    admissible matrix the dimension equals n = r + 2p, one real dimension
-    per free family parameter. Degenerate spectra (outside the supported
-    class, but useful for diagnostics) yield larger kernels.
+    The kernel dimension is the number of singular values of the operator
+    matrix L at most RANK_TOL times the largest one; they come from a
+    values-only SVD. For a non-degenerate admissible matrix the dimension
+    equals n = r + 2p, one real dimension per free family parameter.
+    Degenerate spectra (outside the supported class, but useful for
+    diagnostics) yield larger kernels.
+
+    The kernel basis is one step of inverse iteration on L^T L = R^T R,
+    with R the triangular factor of a Householder QR of L: a seeded
+    Gaussian block Y is solved through R^T and R, then orthonormalized.
+    A step scales each right singular direction by 1 / sigma^2, so the
+    kernel directions outgrow the rest by the square of the gap ratio;
+    :func:`family_vs_kernel` measures how well the result spans the kernel.
+    The diagonal floor: a kernel makes R singular, and a zero column of L
+    (a basis element that commutes with H, as for any real diagonal H)
+    makes a diagonal entry of R exactly 0, so the solves would divide by
+    zero. Every |R_kk| below eps times the largest singular value is
+    raised to that value, a change no larger than the QR's own rounding
+    error. A zero L (every hermitian M solves) has the whole space as
+    kernel, a full-rank L an empty one; both are returned directly.
     """
     H = as_square_matrix(H, name="H")
     if basis is None:
         basis = hermitian_basis(H.shape[0])
     L = intertwining_operator_matrix(H, basis=basis)
-    _, s, vt = np.linalg.svd(L)
-    smax = float(s[0]) if s.size else 0.0
+    s = np.linalg.svd(L, compute_uv=False)
+    smax = float(s[0])
     dim = int(np.sum(s <= RANK_TOL * smax))
-    kernel = matrix_from_coords(basis, vt[vt.shape[0] - dim :])
+    if dim == 0:
+        coords = np.empty((0, s.size))
+    elif dim == s.size:
+        coords = np.eye(s.size)
+    else:
+        R = np.linalg.qr(L, mode="r")
+        floor = np.finfo(np.float64).eps * smax
+        k = np.flatnonzero(np.abs(np.diagonal(R)) < floor)
+        R[k, k] = floor
+        Y = np.random.Generator(np.random.Philox(0)).standard_normal((s.size, dim))
+        X = np.linalg.solve(R, np.linalg.solve(R.T, Y))
+        coords = np.linalg.qr(X)[0].T
+    kernel = matrix_from_coords(basis, coords)
     s_asc = s[::-1].copy()
     if dim == 0 or dim == s_asc.size or s_asc[dim - 1] == 0.0:
         gap = np.inf

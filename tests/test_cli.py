@@ -3,6 +3,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import product
@@ -12,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import phm
 from conftest import DIAG12, ROT2, make_instance, write_matrix_json
 from phm.cli import (
     _matrix_doc,
@@ -1094,3 +1097,23 @@ def test_cli_contract(contract_dir, data):
     assert "Traceback" not in err.getvalue(), argv
     if code == 0:
         assert err.getvalue() == "" and not caught, (argv, [str(w.message) for w in caught])
+
+
+def test_closed_stdout_exits_9_without_traceback(tmp_path):
+    # r = 16 lists 2**15 classes, about 3 MB: far more than a pipe buffers
+    path = write_matrix_json(tmp_path / "h.json", np.diag(np.arange(1.0, 17.0)))
+    root = os.path.dirname(os.path.dirname(os.path.abspath(phm.__file__)))
+    pythonpath = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "phm", "enumerate", path],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": pythonpath},
+    )
+    head = proc.stdout.read(50)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 9
+    assert head.startswith(b'{\n "schema": 1,')
+    assert b"Traceback" not in err

@@ -109,6 +109,26 @@ def test_random_hermitian_properties():
     assert not np.array_equal(A, random_hermitian(5, seed=4))
 
 
+def _loop_random_hermitian(n, seed):
+    """Reference: one scalar draw per real and imaginary part, row by row."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    A = np.zeros((n, n), dtype=np.complex128)
+    np.fill_diagonal(A, rng.standard_normal(n))
+    for k in range(n):
+        for l in range(k + 1, n):
+            z = complex(rng.standard_normal(), rng.standard_normal()) / np.sqrt(2.0)
+            A[k, l] = z
+            A[l, k] = np.conj(z)
+    return A
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 64, 200])
+@pytest.mark.parametrize("seed", [0, 1, 99])
+def test_random_hermitian_matches_loop_bit_for_bit(n, seed):
+    got, want = random_hermitian(n, seed), _loop_random_hermitian(n, seed)
+    assert got.tobytes() == want.tobytes()
+
+
 @settings(deadline=None)
 @given(r=st.integers(0, 5), p=st.integers(0, 5), seed=st.integers(0, 10**6))
 def test_random_parameters_bounded_away_from_zero(r, p, seed):

@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import DIAG12, ROT2, make_instance, write_matrix_json
+from conftest import DIAG12, ROT2, make_instance, rp_splits, write_matrix_json
 from phm import cli, decompose, random_hermitian
 from phm.errors import DimensionError, EnumerationCapError, FamilyMismatchError
 from phm.matrices import SIGMA_X, SIGMA_Y, SIGMA_Z
 from phm.oracle import (
+    RANK_TOL,
     _family_design_matrix,
     family_vs_kernel,
     hermitian_basis,
@@ -219,3 +220,69 @@ def test_oracle_cap_applies_before_decomposition(capsys, monkeypatch, tmp_path):
     assert cli.main(["oracle", path]) == 6
     doc = json.loads(capsys.readouterr().out)
     assert doc["error"]["message"] == "dense solve is capped at n <= 32, got n = 33"
+
+
+# ------------------------------------------- kernel against the full SVD
+
+
+def _svd_kernel(H):
+    """Reference kernel: the right singular vectors of the full SVD of L."""
+    _, s, vt = np.linalg.svd(intertwining_operator_matrix(H))
+    dim = int(np.sum(s <= RANK_TOL * s[0]))
+    return vt[vt.shape[0] - dim :]
+
+
+def _projector_distance(H, report):
+    """Spectral-norm distance to the reference kernel's projector, same dimension."""
+    K = hermitian_coords(hermitian_basis(H.shape[0]), report.basis)
+    V = _svd_kernel(H)
+    assert K.shape == V.shape
+    if V.size == 0:
+        return 0.0
+    return float(np.linalg.norm(K.T @ K - V.T @ V, 2))
+
+
+@settings(deadline=None, max_examples=40)
+@given(n=st.integers(1, 8), split=st.integers(0, 4), seed=st.integers(0, 10**6))
+def test_kernel_matches_full_svd(n, split, seed):
+    splits = rp_splits(n)
+    r, p = splits[split % len(splits)]
+    H = make_instance(n, r, p, seed=seed).H
+    assert _projector_distance(H, solution_space(H)) <= 1e-9
+
+
+def test_kernel_of_real_diagonal_matrix():
+    # L has a zero column per diagonal unit, so R has exact zeros on its
+    # diagonal: the floor keeps the solves finite
+    H = np.diag(np.arange(1.0, 25.0))
+    report = solution_space(H)
+    assert report.dimension == 24
+    assert _projector_distance(H, report) <= 1e-9
+    for B in report.basis:
+        assert_allclose(B, np.diag(np.diag(B)), atol=1e-12)
+
+
+def test_kernel_of_zero_matrix_is_everything():
+    report = solution_space(np.zeros((3, 3)))
+    assert report.dimension == 9
+    K = hermitian_coords(hermitian_basis(3), report.basis)
+    assert_allclose(K @ K.T, np.eye(9), atol=1e-15)
+
+
+def test_kernel_of_generic_complex_matrix_is_empty():
+    rng = np.random.default_rng(7)
+    H = _complex_gaussian(rng, 5, 5)
+    report = solution_space(H)
+    assert report.dimension == 0
+    assert report.basis.shape == (0, 5, 5)
+
+
+def test_kernel_with_narrow_singular_gap():
+    # sigma_{n+1} is about 4e-8 of the largest singular value here; inverse
+    # iteration through L + delta I by LU missed the 1e-8 gate on this one
+    inst = make_instance(24, 6, 9, seed=312974493)
+    report = solution_space(inst.H)
+    match = family_vs_kernel(inst.sd, report)
+    assert report.dimension == 24
+    assert match.max_projection_defect <= 1e-9
+    assert match.max_recovery_defect <= 1e-9

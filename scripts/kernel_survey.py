@@ -2,9 +2,9 @@
 """Survey the brute-force solution space across sizes and spectrum splits.
 
 For every dimension up to --max-n and every (r, p) split, generates an
-instance, solves the intertwining equation by dense SVD, and tabulates
-kernel dimension, rank gap, mutual-span defects against the parametrized
-family, and wall time. The kernel dimension should equal n = r + 2p on
+instance, solves the intertwining equation densely (``solution_space``),
+and tabulates kernel dimension, rank gap, mutual-span defects against the
+parametrized family, and wall time. The kernel dimension should equal n = r + 2p on
 every row; the dense solve cost grows as n^6, which is why it is a
 desk-scale verifier rather than the construction path.
 

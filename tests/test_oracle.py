@@ -237,8 +237,6 @@ def _projector_distance(H, report):
     K = hermitian_coords(hermitian_basis(H.shape[0]), report.basis)
     V = _svd_kernel(H)
     assert K.shape == V.shape
-    if V.size == 0:
-        return 0.0
     return float(np.linalg.norm(K.T @ K - V.T @ V, 2))
 
 

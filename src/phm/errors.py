@@ -60,7 +60,7 @@ class NotSqhError(ParameterError):
 
 
 class EnumerationCapError(PhmError):
-    """A requested enumeration or dense solve exceeds the configured size cap."""
+    """A requested enumeration, dense solve or generation exceeds its size cap."""
 
 
 class GenerationError(PhmError):

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateSpectrumError, GenerationError, ParameterError
+from .errors import DegenerateSpectrumError, EnumerationCapError, GenerationError, ParameterError
 from .matrices import lock, require_hermitian, unit_scaled
 from .metrics import MetricParameters, MetricResult, build_M, inertia_of_matrix
 from .spectral import SpectralData, assert_nondegenerate
@@ -26,6 +26,9 @@ def _rng(seed: int) -> np.random.Generator:
     if seed < 0:
         raise ParameterError(f"seed must be a non-negative integer, got {seed}")
     return np.random.Generator(np.random.Philox(seed))
+
+
+GENERATE_DIM_CAP = 1024  # at the cap: about 8 s of CPU and 360 MB, one BLAS thread
 
 
 @dataclass(frozen=True)
@@ -56,6 +59,10 @@ class GeneratorConfig:
     def __post_init__(self):
         if self.n < 1 or self.r < 0 or self.p < 0:
             raise ParameterError("need n >= 1, r >= 0, p >= 0")
+        if self.n > GENERATE_DIM_CAP:
+            raise EnumerationCapError(
+                f"generation is capped at n <= {GENERATE_DIM_CAP}, got n = {self.n}"
+            )
         if self.r + 2 * self.p != self.n:
             raise ParameterError(
                 f"split must satisfy r + 2p = n, got r={self.r}, p={self.p}, n={self.n}"

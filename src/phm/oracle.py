@@ -5,8 +5,8 @@ H^dagger M = M H is real-linear in the hermitian unknown M, so expanding
 M over a trace-orthonormal hermitian basis turns it into a real
 n^2 x n^2 linear system L x = 0 whose nullspace is the space of all
 compatible metrics. The rank is decided on the singular values of L
-alone (no singular vectors are formed); the kernel basis comes from one
-step of inverse iteration on L^T L through the triangular factor of a
+alone (no singular vectors are formed); the kernel basis comes from two
+steps of inverse iteration on L^T L through the triangular factor of a
 Householder QR of L. The kernel is compared against the family both
 ways (family members project into the kernel; kernel elements are
 reproduced by least-squares parameter fits), and that two-way check
@@ -18,7 +18,9 @@ Costs: coordinates are read and written by index, so the request path
 never forms the (n^2, n, n) basis tensor. The operator is assembled from
 its about 4 n^3 nonzeros into a dense n^2 x n^2 real array, O(n^4)
 memory. Its singular values and its QR factor, O(n^6) time each, are the
-expensive steps; no n^2 x n^2 singular-vector factor is built.
+expensive steps; no n^2 x n^2 singular-vector factor is built, and the
+triangular solves factor no n^2 x n^2 matrix (blocks of at most 64 rows
+plus matrix products, O(n^4 dim) time).
 """
 
 from __future__ import annotations
@@ -34,7 +36,8 @@ from .metrics import build_M
 from .spectral import SpectralData
 
 ORACLE_DIM_CAP = 32
-RANK_TOL = 1e-8  # kernel: singular values at most RANK_TOL times the largest
+RANK_TOL = 1e-8  # kernel: singular values at most RANK_TOL times the largest (floored)
+_SOLVE_LEAF_ROWS = 64  # _solve_upper hands blocks this small to np.linalg.solve
 RANK_GAP_WARN = 10.0
 MATCH_DEFECT_TOL = 1e-8  # largest family/kernel span defect accepted
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -76,10 +79,10 @@ class KernelReport:
     """Numerical nullspace of the linearized intertwining operator.
 
     ``singular_values`` are those of the operator matrix, ascending, from
-    a values-only SVD; ``dimension`` counts the ones at most RANK_TOL
-    times the largest. ``gap_ratio`` is the ratio of the first kept to the
-    last discarded singular value, a confidence proxy for the rank
-    decision (below RANK_GAP_WARN the rank is flagged ambiguous, as a
+    a values-only SVD; ``dimension`` counts the ones at or below the rank
+    cut of :func:`solution_space`. ``gap_ratio`` is the ratio of the first
+    kept to the last discarded singular value, a confidence proxy for the
+    rank decision (below RANK_GAP_WARN the rank is flagged ambiguous, as a
     warning rather than an error). ``basis`` is an orthonormal basis of
     the kernel, found by inverse iteration (see :func:`solution_space`).
     """
@@ -196,29 +199,55 @@ def intertwining_operator_matrix(H, basis: HermitianBasis | None = None) -> np.n
     return np.bincount(flat.ravel(), weights=weights.ravel(), minlength=N * N).reshape(N, N)
 
 
+def _solve_upper(R, B):
+    """Solve R X = B for an upper-triangular R with a nonzero diagonal, by halves.
+
+    The lower-right half is solved first, the upper rows are updated by
+    one matrix product, and blocks of at most _SOLVE_LEAF_ROWS rows go to
+    ``np.linalg.solve``. Its partial pivoting finds only zeros below the
+    diagonal of a triangular block, so it never swaps rows there.
+    """
+    m = R.shape[0]
+    if m <= _SOLVE_LEAF_ROWS:
+        return np.linalg.solve(R, B)
+    h = m // 2
+    X2 = _solve_upper(R[h:, h:], B[h:])
+    X1 = _solve_upper(R[:h, :h], B[:h] - R[:h, h:] @ X2)
+    return np.concatenate([X1, X2])
+
+
 def solution_space(H, basis: HermitianBasis | None = None) -> KernelReport:
     """All hermitian solutions of the intertwining equation.
 
     The kernel dimension is the number of singular values of the operator
-    matrix L at most RANK_TOL times the largest one; they come from a
-    values-only SVD. For a non-degenerate admissible matrix the dimension
-    equals n = r + 2p, one real dimension per free family parameter.
+    matrix L at or below the rank cut, max(RANK_TOL sigma_max,
+    n eps ||H||_F); they come from a values-only SVD. The second term is
+    L's rounding level (its entries are differences of entries of H), so
+    an L of rounding alone, as for a 1 x 1 H, is not cut against itself.
+    For a non-degenerate admissible matrix the dimension equals
+    n = r + 2p, one real dimension per free family parameter.
     Degenerate spectra (outside the supported class, but useful for
     diagnostics) yield larger kernels.
 
-    The kernel basis is one step of inverse iteration on L^T L = R^T R,
-    with R the triangular factor of a Householder QR of L: a seeded
-    Gaussian block Y is solved through R^T and R, then orthonormalized.
-    A step scales each right singular direction by 1 / sigma^2, so the
-    kernel directions outgrow the rest by the square of the gap ratio;
-    :func:`family_vs_kernel` measures how well the result spans the kernel.
+    The kernel basis is two steps of inverse iteration on L^T L = R^T R,
+    R from a Householder QR of L: a block, first a seeded Gaussian one, is
+    solved through R^T and R by :func:`_solve_upper` (the R^T solve on the
+    upper-triangular view R^T[::-1, ::-1]) and orthonormalized. A step
+    scales each right singular direction by 1 / sigma^2, so the kernel
+    outgrows the rest by the square of the gap ratio. The kernel's own
+    singular values are rounding spread over decades, so the first step
+    stretches the block unevenly inside the kernel and leaves its weak
+    directions with the rounding of the strong ones (2e-9 off the kernel
+    on a generated n = 7 matrix); the second, from an orthonormal block,
+    removes that. :func:`family_vs_kernel` measures the span of the result.
     The diagonal floor: a kernel makes R singular, and a zero column of L
     (a basis element that commutes with H, as for any real diagonal H)
     makes a diagonal entry of R exactly 0, so the solves would divide by
     zero. Every |R_kk| below eps times the largest singular value is
     raised to that value, a change no larger than the QR's own rounding
-    error. A zero L (every hermitian M solves) has the whole space as
-    kernel, a full-rank L an empty one; both are returned directly.
+    error. A kernel that is the whole space (L at or below the cut, e.g.
+    L = 0, where every hermitian M solves) and an empty one (full-rank L)
+    are returned directly.
     """
     H = as_square_matrix(H, name="H")
     if basis is None:
@@ -226,19 +255,24 @@ def solution_space(H, basis: HermitianBasis | None = None) -> KernelReport:
     L = intertwining_operator_matrix(H, basis=basis)
     s = np.linalg.svd(L, compute_uv=False)
     smax = float(s[0])
-    dim = int(np.sum(s <= RANK_TOL * smax))
+    eps = np.finfo(np.float64).eps
+    fro = float(np.hypot.reduce(np.abs(H).ravel()))  # ||H||_F without overflow
+    cut = max(RANK_TOL * smax, H.shape[0] * eps * fro)
+    dim = int(np.sum(s <= cut))
     if dim == 0:
         coords = np.empty((0, s.size))
     elif dim == s.size:
         coords = np.eye(s.size)
     else:
         R = np.linalg.qr(L, mode="r")
-        floor = np.finfo(np.float64).eps * smax
+        floor = eps * smax
         k = np.flatnonzero(np.abs(np.diagonal(R)) < floor)
         R[k, k] = floor
-        Y = np.random.Generator(np.random.Philox(0)).standard_normal((s.size, dim))
-        X = np.linalg.solve(R, np.linalg.solve(R.T, Y))
-        coords = np.linalg.qr(X)[0].T
+        X = np.random.Generator(np.random.Philox(0)).standard_normal((s.size, dim))
+        for _ in range(2):
+            Z = _solve_upper(R.T[::-1, ::-1], X[::-1])[::-1]
+            X = np.linalg.qr(_solve_upper(R, Z))[0]
+        coords = X.T
     kernel = matrix_from_coords(basis, coords)
     s_asc = s[::-1].copy()
     if dim == 0 or dim == s_asc.size or s_asc[dim - 1] == 0.0:

@@ -472,6 +472,18 @@ def test_enumerate_cap_exits_6(capsys, tmp_path):
     )
 
 
+def test_generate_cap_exits_6(capsys, tmp_path):
+    out = tmp_path / "big"
+    argv = ["generate", "--n", "1025", "--r", "1", "--p", "512", "--seed", "0", "--out", str(out)]
+    code, doc, _ = run(capsys, *argv)
+    assert code == 6
+    assert doc["error"] == {
+        "type": "EnumerationCapError",
+        "message": "generation is capped at n <= 1024, got n = 1025",
+    }
+    assert list(tmp_path.iterdir()) == []
+
+
 # r + p -> the values of r checked. At r + p = 14 and 16 (16 is the
 # benchmark's scale; both half tables longer than one word): r == (r + p) // 2,
 # r = 0, p = 0 and their neighbours.

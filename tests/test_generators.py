@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import make_instance, rp_splits
-from phm.errors import GenerationError, ParameterError
+from phm.errors import EnumerationCapError, GenerationError, ParameterError
 from phm.generators import (
+    GENERATE_DIM_CAP,
     GeneratorConfig,
     generate_via_observable,
     generate_via_spectrum,
@@ -25,6 +26,13 @@ def test_config_validation():
         GeneratorConfig(n=2, r=2, p=0, seed=0, cond_max=0.5)
     with pytest.raises(ParameterError):
         GeneratorConfig(n=2, r=2, p=0, seed=0, min_gap_target=0.0)
+
+
+def test_config_size_cap():
+    # only the cap + 1 is tried: a draw above the cap is what the cap prevents
+    n = GENERATE_DIM_CAP + 1
+    with pytest.raises(EnumerationCapError, match=f"capped at n <= {GENERATE_DIM_CAP}"):
+        GeneratorConfig(n=n, r=n, p=0, seed=0)
 
 
 def test_generated_instance_has_requested_split():

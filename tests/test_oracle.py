@@ -13,6 +13,7 @@ from phm.matrices import SIGMA_X, SIGMA_Y, SIGMA_Z
 from phm.oracle import (
     RANK_TOL,
     _family_design_matrix,
+    _solve_upper,
     family_vs_kernel,
     hermitian_basis,
     hermitian_coords,
@@ -228,7 +229,7 @@ def test_oracle_cap_applies_before_decomposition(capsys, monkeypatch, tmp_path):
 def _svd_kernel(H):
     """Reference kernel: the right singular vectors of the full SVD of L."""
     _, s, vt = np.linalg.svd(intertwining_operator_matrix(H))
-    dim = int(np.sum(s <= RANK_TOL * s[0]))
+    dim = int(np.sum(s <= max(RANK_TOL * s[0], H.shape[0] * np.finfo(float).eps * np.linalg.norm(H))))
     return vt[vt.shape[0] - dim :]
 
 
@@ -247,6 +248,14 @@ def test_kernel_matches_full_svd(n, split, seed):
     r, p = splits[split % len(splits)]
     H = make_instance(n, r, p, seed=seed).H
     assert _projector_distance(H, solution_space(H)) <= 1e-9
+
+
+@pytest.mark.parametrize("n,r,p,seed", [(7, 7, 0, 657), (6, 2, 2, 10)])
+def test_kernel_of_unevenly_stretched_block(n, r, p, seed):
+    # one inverse-iteration step left these 2.2e-9 and 1.2e-9 off the
+    # reference kernel: their kernel singular values span two decades
+    H = make_instance(n, r, p, seed=seed).H
+    assert _projector_distance(H, solution_space(H)) <= 1e-11
 
 
 def test_kernel_of_real_diagonal_matrix():
@@ -284,3 +293,74 @@ def test_kernel_with_narrow_singular_gap():
     assert report.dimension == 24
     assert match.max_projection_defect <= 1e-9
     assert match.max_recovery_defect <= 1e-9
+
+
+def test_kernel_dimension_is_scale_free():
+    # both terms of the rank cut scale with H; ||H||_F must not overflow at 2**500
+    H = make_instance(3, 1, 1, seed=2).H
+    for k in (-500, 0, 500):
+        assert solution_space(np.ldexp(1.0, k) * H).dimension == 3
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_oracle_accepts_generated_1x1(capsys, tmp_path, seed):
+    # L is 1 x 1 and holds only the rounding of Im H; the rank cut's floor
+    # at L's rounding level keeps it in the kernel
+    out = str(tmp_path / "inst")
+    argv = ["generate", "--n", "1", "--r", "1", "--p", "0", "--seed", str(seed), "--out", out]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert cli.main(["oracle", out + "_H.json"]) == 0
+    assert json.loads(capsys.readouterr().out)["kernel_dimension"] == 1
+
+
+# ------------------------------------------- triangular solves by halves
+
+
+def _upper_triangular(rng, m):
+    # the QR factor of a Gaussian matrix is as well conditioned as the matrix;
+    # a triangle of Gaussian entries is exponentially ill-conditioned in m
+    return np.linalg.qr(rng.standard_normal((m, m)), mode="r")
+
+
+@pytest.mark.parametrize("m", [1, 2, 63, 64, 65, 129, 576])
+@pytest.mark.parametrize("k", [1, 24])
+def test_solve_upper_matches_dense_solve(m, k):
+    rng = np.random.default_rng(m * 100 + k)
+    R = _upper_triangular(rng, m)
+    B = rng.standard_normal((m, k))
+    X = _solve_upper(R, B)
+    assert X.shape == (m, k)
+    assert_allclose(X, np.linalg.solve(R, B), rtol=1e-10, atol=1e-10 * np.abs(X).max())
+    # the lower-triangular solve as solution_space does it, on the reversed view
+    Z = _solve_upper(R.T[::-1, ::-1], B[::-1])[::-1]
+    assert_allclose(Z, np.linalg.solve(R.T, B), rtol=1e-10, atol=1e-10 * np.abs(Z).max())
+
+
+def test_solve_upper_with_floored_diagonal():
+    # as after solution_space's floor: a few diagonal entries at eps * max
+    rng = np.random.default_rng(5)
+    R = _upper_triangular(rng, 200)
+    floor = np.finfo(float).eps * np.abs(R).max()
+    R[[3, 70, 150], [3, 70, 150]] = floor
+    B = rng.standard_normal((200, 24))
+    for A in (R, R.T[::-1, ::-1]):
+        X = _solve_upper(A, B)
+        assert np.all(np.isfinite(X))
+        residual = np.linalg.norm(A @ X - B) / (np.linalg.norm(A) * np.linalg.norm(X))
+        assert residual <= 1e-14
+
+
+def test_solution_space_solves_only_small_blocks(monkeypatch):
+    solved = []
+    original = np.linalg.solve
+
+    def recording_solve(a, b):
+        solved.append(np.shape(a))
+        return original(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", recording_solve)
+    report = solution_space(make_instance(24, 6, 9, seed=1).H)
+    assert report.dimension == 24
+    assert solved
+    assert max(rows for rows, _ in solved) <= 64

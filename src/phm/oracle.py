@@ -220,34 +220,37 @@ def solution_space(H, basis: HermitianBasis | None = None) -> KernelReport:
     """All hermitian solutions of the intertwining equation.
 
     The kernel dimension is the number of singular values of the operator
-    matrix L at or below the rank cut, max(RANK_TOL sigma_max,
-    n eps ||H||_F); they come from a values-only SVD. The second term is
-    L's rounding level (its entries are differences of entries of H), so
-    an L of rounding alone, as for a 1 x 1 H, is not cut against itself.
+    matrix L, from a values-only SVD, at or below the rank cut
+    max(RANK_TOL sigma_max, n eps ||H||_F). The second term is L's
+    rounding level (its entries are differences of entries of H), so an
+    L of rounding alone, as for a 1 x 1 H, is not cut against itself.
     For a non-degenerate admissible matrix the dimension equals
     n = r + 2p, one real dimension per free family parameter.
     Degenerate spectra (outside the supported class, but useful for
-    diagnostics) yield larger kernels.
+    diagnostics) yield larger kernels. A kernel that is the whole space
+    (every singular value at or below the cut) or empty is returned
+    directly.
 
-    The kernel basis is two steps of inverse iteration on L^T L = R^T R,
-    R from a Householder QR of L: a block, first a seeded Gaussian one, is
-    solved through R^T and R by :func:`_solve_upper` (the R^T solve on the
-    upper-triangular view R^T[::-1, ::-1]) and orthonormalized. A step
-    scales each right singular direction by 1 / sigma^2, so the kernel
-    outgrows the rest by the square of the gap ratio. The kernel's own
-    singular values are rounding spread over decades, so the first step
-    stretches the block unevenly inside the kernel and leaves its weak
-    directions with the rounding of the strong ones (2e-9 off the kernel
-    on a generated n = 7 matrix); the second, from an orthonormal block,
-    removes that. :func:`family_vs_kernel` measures the span of the result.
-    The diagonal floor: a kernel makes R singular, and a zero column of L
-    (a basis element that commutes with H, as for any real diagonal H)
-    makes a diagonal entry of R exactly 0, so the solves would divide by
-    zero. Every |R_kk| below eps times the largest singular value is
-    raised to that value, a change no larger than the QR's own rounding
-    error. A kernel that is the whole space (L at or below the cut, e.g.
-    L = 0, where every hermitian M solves) and an empty one (full-rank L)
-    are returned directly.
+    Otherwise the basis is two steps of inverse iteration on
+    L^T L = R^T R, R from a Householder QR of L: a block, first a seeded
+    Gaussian one, is solved through R^T and R by :func:`_solve_upper`
+    (the R^T solve on the upper-triangular view R^T[::-1, ::-1]) and
+    orthonormalized. A step scales each right singular direction by
+    1 / sigma^2, so the kernel outgrows the rest by the square of the gap
+    ratio. The kernel's own singular values are rounding spread over
+    decades, so the first step stretches the block unevenly inside the
+    kernel and leaves its weak directions with the rounding of the
+    strong ones (2e-9 off the kernel on a generated n = 7 matrix); the
+    second, from an orthonormal block, removes that.
+    :func:`family_vs_kernel` measures the span of the result.
+
+    R is scaled by a power of two to a largest singular value in
+    [0.5, 1), which changes no bit of the result but keeps 1 / sigma^2,
+    up to 1 / eps^2, finite at any scale of H. A kernel makes R singular,
+    and a zero column of L (a basis element that commutes with H, as for
+    any real diagonal H) makes a diagonal entry of R exactly 0, so every
+    |R_kk| below eps times the largest singular value is raised to that
+    value, a change no larger than the QR's own rounding error.
     """
     H = as_square_matrix(H, name="H")
     if basis is None:
@@ -265,7 +268,9 @@ def solution_space(H, basis: HermitianBasis | None = None) -> KernelReport:
         coords = np.eye(s.size)
     else:
         R = np.linalg.qr(L, mode="r")
-        floor = eps * smax
+        shift = -int(np.frexp(smax)[1])
+        np.ldexp(R, shift, out=R)
+        floor = eps * float(np.ldexp(smax, shift))
         k = np.flatnonzero(np.abs(np.diagonal(R)) < floor)
         R[k, k] = floor
         X = np.random.Generator(np.random.Philox(0)).standard_normal((s.size, dim))

@@ -295,11 +295,17 @@ def test_kernel_with_narrow_singular_gap():
     assert match.max_recovery_defect <= 1e-9
 
 
-def test_kernel_dimension_is_scale_free():
-    # both terms of the rank cut scale with H; ||H||_F must not overflow at 2**500
-    H = make_instance(3, 1, 1, seed=2).H
-    for k in (-500, 0, 500):
-        assert solution_space(np.ldexp(1.0, k) * H).dimension == 3
+@pytest.mark.parametrize("k", [-600, 0, 600])
+def test_kernel_is_scale_free(k):
+    # both terms of the rank cut scale with H, and ||H||_F must not overflow
+    # at 2**600; the solves must not overflow at 2**-600 nor underflow at 2**600
+    inst = make_instance(3, 1, 1, seed=2)
+    H = inst.H * 2.0**k
+    report = solution_space(H)
+    assert report.dimension == 3
+    match = family_vs_kernel(decompose(H), report)
+    assert match.max_projection_defect <= 1e-12
+    assert match.max_recovery_defect <= 1e-12
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])

@@ -229,7 +229,8 @@ def test_oracle_cap_applies_before_decomposition(capsys, monkeypatch, tmp_path):
 def _svd_kernel(H):
     """Reference kernel: the right singular vectors of the full SVD of L."""
     _, s, vt = np.linalg.svd(intertwining_operator_matrix(H))
-    dim = int(np.sum(s <= max(RANK_TOL * s[0], H.shape[0] * np.finfo(float).eps * np.linalg.norm(H))))
+    cut = max(RANK_TOL * s[0], H.shape[0] * np.finfo(float).eps * np.linalg.norm(H))
+    dim = int(np.sum(s <= cut))
     return vt[vt.shape[0] - dim :]
 
 

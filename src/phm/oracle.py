@@ -268,9 +268,9 @@ def solution_space(H, basis: HermitianBasis | None = None) -> KernelReport:
         coords = np.eye(s.size)
     else:
         R = np.linalg.qr(L, mode="r")
-        shift = -int(np.frexp(smax)[1])
-        np.ldexp(R, shift, out=R)
-        floor = eps * float(np.ldexp(smax, shift))
+        mantissa, exponent = np.frexp(smax)
+        np.ldexp(R, -exponent, out=R)  # sigma_max is now the mantissa, in [0.5, 1)
+        floor = eps * float(mantissa)
         k = np.flatnonzero(np.abs(np.diagonal(R)) < floor)
         R[k, k] = floor
         X = np.random.Generator(np.random.Philox(0)).standard_normal((s.size, dim))

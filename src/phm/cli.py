@@ -17,7 +17,8 @@ exits with a documented code:
     7  generation rejection budget exhausted
     8  verification gate failed (residual, hermiticity, singular metric in
        verify, kernel match)
-    9  stdout closed before the document was written (say, piped into head)
+    9  stdout closed before the whole document was written (say, piped
+       into head)
 
 Matrix files are JSON: {"schema": 1, "n": N, "entries": [[[re, im], ...], ...]}
 with N rows of N two-element [re, im] cells. Complex command-line
@@ -31,7 +32,10 @@ positive number (exit 5 otherwise).
 stdout is always strict JSON: a number that is NaN or infinite (say, a
 figure that overflowed on entries near 1e308) is written as null. The
 exit code is the one the command gives anyway. Every document, usage
-errors and written matrix files included, has the same layout.
+errors and written matrix files included, has the same layout. Every value
+is encoded before the first byte is written; enumerate's class list is
+then made and written one block of classes at a time, so its memory does
+not grow with the class count.
 
 main builds the parser of the named subcommand only; any other argv (none,
 -h, an unknown command) gets all seven, so help and usage errors read the same.
@@ -135,20 +139,29 @@ def _nonfinite_to_null(value):
 
 
 class _Lines(list):
-    """A JSON array printed one item per line after ``pad``; ``encoded``
-    items are JSON texts already and are copied as they are."""
+    """A JSON array printed one item per line after ``pad``.
+
+    Its items are values, encoded with the rest of the document. An
+    ``encoded`` array keeps its items, JSON texts already, as ``texts``:
+    any iterable, an iterator included. They are copied as they are and
+    written one at a time, never joined, so an iterator is read only while
+    the document is written.
+    """
 
     def __init__(self, items, pad: str, encoded: bool = False):
-        super().__init__(items)
+        super().__init__(() if encoded else items)
         self.pad, self.encoded = pad, encoded
+        self.texts = items if encoded else ()
 
 
 def _pieces(value, depth: int, encode, out: list) -> None:
-    """Append the JSON text of ``value`` to ``out``, in pieces joined once."""
-    if isinstance(value, _Lines):
-        items = value if value.encoded else map(encode, value)
+    """Append the JSON text of ``value`` to ``out``, in pieces joined once;
+    an encoded ``_Lines`` goes in as itself, between its brackets."""
+    if isinstance(value, _Lines) and value.encoded:
+        out += ["[\n" + value.pad, value, "\n" + " " * depth + "]"]
+    elif isinstance(value, _Lines):
         first = len(out)
-        out += chain.from_iterable(zip(repeat(",\n" + value.pad), items))
+        out += chain.from_iterable(zip(repeat(",\n" + value.pad), map(encode, value)))
         out[first : first + 1] = ["[\n" + value.pad]  # the first separator opens the array
         out.append("\n" + " " * depth + "]")
     elif isinstance(value, dict):
@@ -164,18 +177,35 @@ def _pieces(value, depth: int, encode, out: list) -> None:
         out.append(encode(value))
 
 
-def _format_doc(doc: dict) -> str:
+def _write_doc(doc: dict, stream) -> None:
+    """Write ``doc`` and a newline to ``stream``.
+
+    Every value is encoded before the first write, so an encoding error
+    (a non-finite float, written as null instead) leaves nothing half
+    written. The pieces between encoded ``_Lines`` are joined and written
+    once; the texts of an encoded ``_Lines`` are written one at a time.
+    """
     out: list = []
     try:
         _pieces(doc, 0, _STRICT.encode, out)
     except ValueError:  # a non-finite float
         out = []
         _pieces(doc, 0, lambda value: _STRICT.encode(_nonfinite_to_null(value)), out)
-    return "".join(out)
+    out.append("\n")
+    start = 0
+    for i, piece in enumerate(out):
+        if isinstance(piece, _Lines):
+            stream.write("".join(out[start:i]))
+            start = i + 1
+            sep = ""
+            for text in piece.texts:
+                stream.write(sep + text)
+                sep = ",\n" + piece.pad
+    stream.write("".join(out[start:]))
 
 
 def _emit(doc: dict) -> None:
-    print(_format_doc(doc))
+    _write_doc(doc, sys.stdout)
 
 
 def _emit_error(exc: Exception, extra: dict | None = None) -> None:
@@ -198,10 +228,10 @@ def _matrix_doc(M: np.ndarray) -> dict:
 
 
 def _write_matrix_file(path: str, M: np.ndarray) -> None:
-    text = _format_doc(_matrix_doc(M)) + "\n"
+    doc = _matrix_doc(M)
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            _write_doc(doc, fh)
     except OSError as exc:
         raise FileFormatError(f"cannot write {path}: {exc}") from exc
 
@@ -498,10 +528,9 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     rests = [  # the second halves with their tails, by the first half's negative signs
         [v + tails[c + neg] for v, neg in zip(seconds, negs)] for c in range(min(k, r) + 1)
     ]
-    blocks = []  # one per first-half word, its classes joined already
-    for u in firsts:
-        head = '{"signs": [' + u
-        blocks.append(head + (",\n  " + head).join(rests[u.count("-")]))
+    blocks = (  # one per first-half word, its classes joined; made as it is written
+        '{"signs": [' + u + (',\n  {"signs": [' + u).join(rests[u.count("-")]) for u in firsts
+    )
     _emit(
         {
             "schema": 1,

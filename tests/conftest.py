@@ -5,8 +5,15 @@ from __future__ import annotations
 import json
 
 import numpy as np
+from hypothesis import settings
 
 from phm import GeneratorConfig, generate_via_spectrum
+
+# Every run draws the same examples and replays none saved by an earlier
+# run, so two runs of one commit test the same cases. max_examples stays
+# per test.
+settings.register_profile("fixed", derandomize=True, database=None)
+settings.load_profile("fixed")
 
 # The canonical 2x2 with a conjugate pair: eigenvalues +-i, row-eigenvector
 # matrix (1/sqrt 2) [[1, -i], [1, i]] under the deterministic column gauge.

@@ -7,7 +7,7 @@ import subprocess
 import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
-from itertools import product
+from itertools import chain, product, repeat
 
 import numpy as np
 import pytest
@@ -17,7 +17,9 @@ from hypothesis import strategies as st
 import phm
 from conftest import DIAG12, ROT2, make_instance, write_matrix_json
 from phm.cli import (
+    _Lines,
     _matrix_doc,
+    _write_doc,
     _write_matrix_file,
     build_parser,
     main,
@@ -197,6 +199,69 @@ def test_matrix_file_bytes_edge_values(tmp_path):
     path = tmp_path / "m.json"
     _write_matrix_file(str(path), M)
     assert path.read_text(encoding="utf-8") == _reference_matrix_file(M)
+
+
+def _joined_doc(doc) -> str:
+    """The emitter before it streamed: every piece of the document, the
+    items of an encoded _Lines included, joined into one str and printed."""
+
+    def pieces(value, depth, encode, out):
+        if isinstance(value, _Lines):
+            items = list(value.texts) if value.encoded else map(encode, value)
+            first = len(out)
+            out += chain.from_iterable(zip(repeat(",\n" + value.pad), items))
+            out[first : first + 1] = ["[\n" + value.pad]
+            out.append("\n" + " " * depth + "]")
+        elif isinstance(value, dict):
+            start, sep, end = ("{\n ", ",\n ", "\n}") if depth == 0 else ("{", ", ", "}")
+            out.append(start)
+            for i, (key, item) in enumerate(value.items()):
+                out.append(f'{sep if i else ""}"{key}": ')
+                pieces(item, depth + 1, encode, out)
+            out.append(end)
+        else:
+            out.append(encode(value))
+
+    def to_null(value):
+        if isinstance(value, float) and not math.isfinite(value):
+            return None
+        return [to_null(v) for v in value] if isinstance(value, list) else value
+
+    strict = json.JSONEncoder(allow_nan=False)
+    out = []
+    try:
+        pieces(doc, 0, strict.encode, out)
+    except ValueError:
+        out = []
+        pieces(doc, 0, lambda value: strict.encode(to_null(value)), out)
+    return "".join(out) + "\n"
+
+
+_CLASS_TEXTS = [
+    '{"signs": [1], "n": [], "inertia": [1, 0, 0]}',
+    '{"signs": [-1], "n": [], "inertia": [0, 1, 0]}',
+]
+
+
+@pytest.mark.parametrize(
+    "make_doc",
+    [
+        lambda: _matrix_doc(np.array([[1 + 2j, -0.0], [5e-324, 1e308 - 1j]])),
+        lambda: {"schema": 1, "count": 2, "classes": _Lines(iter(_CLASS_TEXTS), "  ", encoded=True)},
+        lambda: {
+            "schema": 1,
+            "residual": float("nan"),
+            "tail": [1.0, float("-inf")],
+            "M": _matrix_doc(np.array([[1.0, np.inf], [np.nan, 0.0]])),
+        },
+    ],
+    ids=["eager", "iterator", "nonfinite"],
+)
+def test_write_doc_matches_one_join(make_doc):
+    out = io.StringIO()
+    _write_doc(make_doc(), out)
+    assert out.getvalue() == _joined_doc(make_doc())
+    _strict_json(out.getvalue())
 
 
 def _strict_json(text: str):
@@ -482,6 +547,28 @@ def test_generate_cap_exits_6(capsys, tmp_path):
         "message": "generation is capped at n <= 1024, got n = 1025",
     }
     assert list(tmp_path.iterdir()) == []
+
+
+class _RecordingStream(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def write(self, text):
+        self.sizes.append(len(text))
+        return super().write(text)
+
+
+@pytest.mark.parametrize("mod_global", [True, False])
+def test_enumerate_writes_one_block_at_a_time(tmp_path, mod_global):
+    path = write_matrix_json(tmp_path / "h.json", _split_matrix(8, 8))
+    out = _RecordingStream()
+    with redirect_stdout(out):
+        code = main(["enumerate", path] + ([] if mod_global else ["--no-mod-global"]))
+    assert code == 0
+    text = out.getvalue()
+    assert text == _reference_enumerate_stdout(8, 8, mod_global)
+    assert max(out.sizes) <= len(text) / 8
 
 
 # r + p -> the values of r checked. At r + p = 14 and 16 (16 is the

@@ -41,7 +41,6 @@ from .metrics import (
     block_rotation,
     build_M,
     build_m,
-    build_m0,
     canonical_metric,
     enumerate_classes,
     gauge_absorb,
@@ -49,7 +48,6 @@ from .metrics import (
     inertia_of_params,
     intertwining_residual,
     is_global_representative,
-    m_inner_product,
     negate_class,
     pair_block,
     pair_rotation,
@@ -72,7 +70,6 @@ from .spectral import (
     SpectrumClassification,
     Tolerances,
     assert_nondegenerate,
-    biorthogonality_check,
     check_ph_admissible,
     classify_spectrum,
     decompose,
@@ -108,11 +105,9 @@ __all__ = [
     "SpectrumClassification",
     "Tolerances",
     "assert_nondegenerate",
-    "biorthogonality_check",
     "block_rotation",
     "build_M",
     "build_m",
-    "build_m0",
     "canonical_metric",
     "check_ph_admissible",
     "classify_spectrum",
@@ -132,7 +127,6 @@ __all__ = [
     "intertwining_operator_matrix",
     "intertwining_residual",
     "is_global_representative",
-    "m_inner_product",
     "matrix_from_coords",
     "negate_class",
     "pair_block",

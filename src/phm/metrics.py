@@ -11,11 +11,14 @@ negative metric eigenvalues, however the parameters are chosen.
 The canonical ("unitary gauge") form of a class is the family member at
 |mu| = |tau| = 1: mu = signs and tau = (-1)^n e^{i theta}, because the
 pair rotation U(theta) has U^dagger (+-sigma_z) U = +-B(e^{i theta}). It
-separates the "physical" data (sign pattern, orientation bits and
-phases) from the pure-gauge magnitudes, which can be absorbed into the
-diagonalizer. The discrete part of the solution space is a sign
-assignment per real eigenvalue plus a binary orientation per pair,
-modulo one global sign flip; the continuous part is one phase per pair.
+separates the signs and phases from the pure-gauge magnitudes, which can
+be absorbed into the diagonalizer. The orientation bit is not separate
+data: class (s, 1, theta) and class (s, 0, theta + pi) are the same
+metric. So the connected components of the solution space are indexed by
+the r signs alone, each a p-torus of phases times the magnitudes (the
+torus tensored with a power of Z_2). :func:`enumerate_classes` lists the
+sign and bit words modulo one global sign flip, 2**(r+p-1) of them: the
+theta = 0 points, at tau = +-1.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from .errors import (
     ParameterError,
 )
 from .matrices import (
-    SIGMA_Z,
     as_square_matrix,
     block_diag,
     frobenius,
@@ -197,23 +199,17 @@ def build_M(sd: SpectralData, params: MetricParameters) -> MetricResult:
             f"spectrum (r={sd.r}, p={sd.p})"
         )
     m = build_m(params)
-    M = hermitize(sd.S.conj().T @ m @ sd.S)
+    with np.errstate(over="ignore", invalid="ignore"):
+        M = hermitize(sd.S.conj().T @ m @ sd.S)
+    if not np.all(np.isfinite(M)):
+        with np.errstate(over="ignore"):
+            mu, tau = (float(np.max(np.abs(a), initial=0.0)) for a in (params.mu, params.tau))
+        raise ParameterError(
+            f"M = S^dagger m S overflows at max |mu| = {mu:.3e}, max |tau| = {tau:.3e}"
+        )
     ip, im = inertia_of_params(params, sd.p)
     res = intertwining_residual(sd.matrix, M, check_hermitian=False)  # hermitian by construction
     return MetricResult(M=M, inertia=(ip, im, 0), residual=res)
-
-
-def m_inner_product(M, a, b) -> complex:
-    """Indefinite inner product <a|M b> (conjugate-linear in ``a``)."""
-    M = require_hermitian(M, name="M")
-    a = np.asarray(a, dtype=np.complex128).reshape(-1)
-    b = np.asarray(b, dtype=np.complex128).reshape(-1)
-    if a.shape[0] != M.shape[0] or b.shape[0] != M.shape[0]:
-        raise DimensionError(
-            f"vectors of lengths {a.shape[0]}, {b.shape[0]} do not match "
-            f"metric of dimension {M.shape[0]}"
-        )
-    return complex(np.vdot(a, M @ b))
 
 
 def _phase_rotation(theta: float) -> np.ndarray:
@@ -244,28 +240,12 @@ def block_rotation(tau: complex, n: int) -> np.ndarray:
     return pair_rotation(math.atan2(tau.imag, tau.real)) @ _phase_rotation(n * math.pi)
 
 
-def build_m0(signs, n) -> np.ndarray:
-    """Signature matrix: block-diag(signs, (-1)^{n_1} sigma_z, ...).
-
-    All diagonal entries are +-1, so the square is the identity; this
-    carries exactly the inertia data of a family member.
-    """
-    signs = tuple(int(s) for s in signs)
-    bits = tuple(int(b) for b in n)
-    if any(s not in (-1, 1) for s in signs):
-        raise ParameterError(f"signs must be +-1, got {signs}")
-    if any(b not in (0, 1) for b in bits):
-        raise ParameterError(f"bits must be 0/1, got {bits}")
-    blocks = [np.array([[float(s)]], dtype=np.complex128) for s in signs]
-    blocks.extend(((-1.0) ** b) * SIGMA_Z for b in bits)
-    return block_diag(*blocks)
-
-
 def canonical_metric(sd: SpectralData, cls: CanonicalClass) -> MetricResult:
     """Metric in unitary gauge: M = S^dagger U^dagger m0 U S.
 
-    U collects the per-pair phase rotations and m0 = build_m0(signs, n),
-    so this is the family member with mu = signs, tau = (-1)^n e^{i theta}.
+    U collects the per-pair phase rotations and m0 is the signature matrix
+    block-diag(signs, (-1)^{n_1} sigma_z, ...), so this is the family
+    member with mu = signs, tau = (-1)^n e^{i theta}.
     The inertia is p plus the number of positive signs, and p plus the
     number of negative signs.
     """
@@ -383,23 +363,6 @@ def class_letters(r: int, p: int, mod_global: bool = True) -> list[tuple[int, ..
     return letters
 
 
-def class_tables(
-    r: int, p: int, mod_global: bool = True, split: int | None = None
-) -> tuple[list, list]:
-    """The two tables whose lexicographic product is the discrete classes.
-
-    The first table holds the words of the :func:`class_letters` before
-    position ``split`` (default r: the sign rows), the second the words of
-    the rest (default: the bit rows). Splitting at (r + p) // 2 keeps both
-    tables at most 2**ceil((r + p) / 2) words.
-    """
-    letters = class_letters(r, p, mod_global)
-    split = r if split is None else split
-    if not 0 <= split <= r + p:
-        raise ParameterError(f"split {split} is outside [0, {r + p}]")
-    return list(product(*letters[:split])), list(product(*letters[split:]))
-
-
 def enumerate_classes(
     r: int, p: int, mod_global: bool = True
 ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -409,10 +372,9 @@ def enumerate_classes(
     member whose first signature entry is +1, giving 2**(r+p-1) classes;
     without it all 2**(r+p) assignments are returned. Ordering is
     lexicographic with +1 before -1 and 0 before 1; see
-    :func:`class_tables`.
+    :func:`class_letters`.
     """
-    sign_rows, bit_rows = class_tables(r, p, mod_global)
-    return [(s, b) for s in sign_rows for b in bit_rows]
+    return [(w[:r], w[r:]) for w in product(*class_letters(r, p, mod_global))]
 
 
 def sqh_factorization(sd: SpectralData) -> MetricResult:

@@ -23,7 +23,7 @@ from .errors import (
     IllConditionedError,
     NumericError,
 )
-from .matrices import as_square_matrix, frobenius, lock
+from .matrices import as_square_matrix, lock
 
 # Components below this fraction of a unit vector's norm are treated as zero
 # when fixing the column phase gauge.
@@ -60,10 +60,7 @@ class AdmissibilityReport:
 class RawEigenpairs:
     """Unordered eigenpairs straight from the dense solver.
 
-    ``matrix`` is the H they were computed from. ``residual`` is
-    ||H V - V diag(values)||_F / ||H||_F and ``min_singular_value`` is the
-    smallest singular value of V (zero means the eigenvectors do not span),
-    both computed on access.
+    ``matrix`` is the H they were computed from.
     """
 
     values: np.ndarray
@@ -74,17 +71,6 @@ class RawEigenpairs:
         lock(self.values)
         lock(self.right_vectors)
         lock(self.matrix)
-
-    @property
-    def residual(self) -> float:
-        H, V = self.matrix, self.right_vectors
-        nh = frobenius(H)
-        res = frobenius(H @ V - V * self.values[np.newaxis, :])
-        return res / nh if nh > 0 else res
-
-    @property
-    def min_singular_value(self) -> float:
-        return float(np.linalg.svd(self.right_vectors, compute_uv=False)[-1])
 
 
 @dataclass(frozen=True)
@@ -98,8 +84,6 @@ class SpectrumClassification:
 
     real_indices: tuple[int, ...]
     pair_indices: tuple[tuple[int, int], ...]
-    eps_real: float
-    eps_pair: float
 
     @property
     def r(self) -> int:
@@ -234,12 +218,7 @@ def classify_spectrum(
         return (z.real, z.imag)
 
     pairs.sort(key=pair_key)
-    return SpectrumClassification(
-        real_indices=tuple(real_idx),
-        pair_indices=tuple(pairs),
-        eps_real=eps_real,
-        eps_pair=eps_pair,
-    )
+    return SpectrumClassification(real_indices=tuple(real_idx), pair_indices=tuple(pairs))
 
 
 def _modulus(z: complex) -> float:
@@ -407,16 +386,3 @@ def decompose(
     cls = classify_spectrum(eig.values, eps_real=tol.eps_real, eps_pair=tol.eps_pair)
     assert_nondegenerate(eig.values, gap_tol=tol.gap_tol)
     return build_spectral_data(cls, eig, cond_cap=tol.cond_cap)
-
-
-def biorthogonality_check(sd: SpectralData) -> float:
-    """Largest relative left-eigenvector residual of the rows of S.
-
-    H = S^-1 diag(lam) S makes row k of S a left eigenvector for lam_k,
-    S_k H = lam_k S_k, so this returns
-    max_k ||S_k H - lam_k S_k|| / (||H||_F ||S_k||), 0 for H = 0.
-    """
-    R = sd.S @ sd.matrix - sd.lam[:, np.newaxis] * sd.S
-    rel = np.linalg.norm(R, axis=1) / np.linalg.norm(sd.S, axis=1)
-    h = frobenius(sd.matrix)
-    return float(np.max(rel)) / h if h else 0.0

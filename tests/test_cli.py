@@ -1014,6 +1014,26 @@ def test_metric_huge_parameters_keep_a_finite_residual(capsys, tmp_path):
     assert err == ""
 
 
+@pytest.mark.parametrize(
+    "shape, mu, tau",
+    [(("6", "2", "2", "1"), "1e308,1", "1+0i,1+0i"), (("3", "1", "1", "3"), "1e308", "1+0i")],
+)
+def test_metric_overflowing_parameters_exit_5(capsys, tmp_path, shape, mu, tau):
+    # finite parameters whose S^dagger m S overflows are a parameter error, not a
+    # malformed input; before the check in build_M this exited 1 with three warnings
+    n, r, p, seed = shape
+    out = str(tmp_path / "s")
+    assert run(capsys, "generate", "--n", n, "--r", r, "--p", p, "--seed", seed, "--out", out)[0] == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, text, err = run(capsys, "metric", out + "_H.json", f"--mu={mu}", f"--tau={tau}", parse=False)
+    assert code == 5
+    error = _strict_loads(text)["error"]
+    assert error["type"] == "ParameterError"
+    assert "max |mu| = 1.000e+308, max |tau| = 1.000e+00" in error["message"]
+    assert err == f"error: {error['message']}\n"
+
+
 @pytest.mark.parametrize("mode", ["spectrum", "observable"])
 def test_generate_negative_seed_exits_5(capsys, tmp_path, mode):
     metric = write_matrix_json(tmp_path / "m.json", SIGMA_Z)

@@ -19,17 +19,14 @@ from phm.metrics import (
     block_rotation,
     build_M,
     build_m,
-    build_m0,
     canonical_metric,
     class_letters,
-    class_tables,
     enumerate_classes,
     gauge_absorb,
     inertia_of_matrix,
     inertia_of_params,
     intertwining_residual,
     is_global_representative,
-    m_inner_product,
     negate_class,
     pair_block,
     pair_rotation,
@@ -108,6 +105,14 @@ def test_block_rotation_angle_underflow():
     assert_allclose(W @ pair_block(tau) @ W.conj().T, 2.0 * SIGMA_Z, atol=1e-15)
     _, cls = gauge_absorb(decompose(ROT2), MetricParameters(mu=[], tau=[tau]))
     assert cls.theta == (0.0,)
+
+
+def build_m0(signs, n):
+    """Signature matrix block-diag(signs, (-1)^{n_1} sigma_z, ...), the m0 of
+    canonical_metric's unitary gauge formula."""
+    blocks = [np.array([[float(s)]], dtype=np.complex128) for s in signs]
+    blocks.extend(((-1.0) ** b) * SIGMA_Z for b in n)
+    return block_diag(*blocks)
 
 
 def test_build_m0_is_signature():
@@ -196,15 +201,6 @@ def test_build_M_count_mismatch():
     inst = make_instance(4, 2, 1, seed=1)
     with pytest.raises(ParameterError):
         build_M(inst.sd, MetricParameters(mu=[1.0], tau=[1.0]))
-
-
-def test_inner_product_conjugate_linearity():
-    M = SIGMA_Z
-    a = np.array([1.0, 1.0j])
-    b = np.array([2.0, 0.0])
-    assert m_inner_product(M, 1.0j * a, b) == pytest.approx(
-        -1.0j * m_inner_product(M, a, b)
-    )
 
 
 # ------------------------------------------------------- canonical form
@@ -365,7 +361,7 @@ def test_class_letters_are_signs_then_bits():
     assert class_letters(0, 2) == [(0,), (0, 1)]
     with pytest.raises(ParameterError, match="r and p must be nonnegative"):
         class_letters(-1, 2)
-    # the cap on r + p is here, so class_tables and cmd_enumerate share it
+    # the cap on r + p is here, so enumerate_classes and cmd_enumerate share it
     assert len(class_letters(10, 10)) == 20
     with pytest.raises(EnumerationCapError) as info:
         class_letters(11, 10, mod_global=False)
@@ -377,7 +373,8 @@ def test_enumeration_is_the_product_of_the_class_tables(mod_global):
     for k in range(1, 13):
         for r in range(k + 1):
             p = k - r
-            sign_rows, bit_rows = class_tables(r, p, mod_global)
+            letters = class_letters(r, p, mod_global)
+            sign_rows, bit_rows = list(product(*letters[:r])), list(product(*letters[r:]))
             classes = enumerate_classes(r, p, mod_global)
             assert classes == [(s, b) for s in sign_rows for b in bit_rows]
             # the definition the tables replace: filter the full product
@@ -387,20 +384,6 @@ def test_enumeration_is_the_product_of_the_class_tables(mod_global):
                 for b in product((0, 1), repeat=p)
                 if not mod_global or is_global_representative(s, b)
             ]
-
-
-@pytest.mark.parametrize("mod_global", [True, False])
-def test_class_tables_at_any_split_give_the_classes(mod_global):
-    for k in range(1, 9):
-        for r in range(k + 1):
-            p = k - r
-            classes = [s + b for s, b in enumerate_classes(r, p, mod_global)]
-            for split in range(k + 1):
-                first, second = class_tables(r, p, mod_global, split=split)
-                assert [a + b for a in first for b in second] == classes
-                assert len(first) <= 2**split and len(second) <= 2 ** (k - split)
-    with pytest.raises(ParameterError):
-        class_tables(2, 1, split=4)
 
 
 def test_enumerate_cap():
@@ -415,7 +398,7 @@ def test_class_tables_cap_is_r_plus_p_20(r, p):
     from phm.errors import EnumerationCapError
 
     with pytest.raises(EnumerationCapError, match=r"refusing to list 2\*\*21 classes \(cap r \+ p <= 20\)"):
-        class_tables(r, p)
+        enumerate_classes(r, p)
 
 
 # ------------------------------------------------------------------- sqh

@@ -1,8 +1,13 @@
-"""Smoke test of the example scripts: each runs to the end and exits 0."""
+"""Smoke tests of the public surface: the example scripts each run to the
+end and exit 0, README's library quick start prints what it says, and every
+``phm.__all__`` name resolves."""
 
+import io
 import os
+import re
 import subprocess
 import sys
+from contextlib import redirect_stdout
 
 import pytest
 
@@ -37,3 +42,19 @@ def test_script_runs(tmp_path, name, args, line):
     assert proc.returncode == 0, proc.stderr
     if line is not None:
         assert line in proc.stdout.splitlines()
+
+
+def test_readme_quick_start_runs():
+    with open(os.path.join(_REPO, "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    block = re.search(r"## Library quick start\n+```python\n(.*?)```", readme, re.DOTALL).group(1)
+    out = io.StringIO()
+    with redirect_stdout(out):
+        exec(block, {})
+    lines = out.getvalue().splitlines()
+    assert lines[-3:] == ["(1, 1, 0)", "[((), (0,))]", "2"]
+
+
+def test_public_names_resolve_once():
+    assert len(set(phm.__all__)) == len(phm.__all__)
+    assert [name for name in phm.__all__ if not hasattr(phm, name)] == []

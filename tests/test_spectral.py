@@ -22,7 +22,6 @@ from phm.spectral import (
     Tolerances,
     _column_norms,
     assert_nondegenerate,
-    biorthogonality_check,
     check_ph_admissible,
     classify_spectrum,
     decompose,
@@ -45,8 +44,10 @@ def test_admissible_rejects_complex_coefficients():
 
 def test_eigendecompose_residual_small():
     eig = eigendecompose(ROT2)
-    assert eig.residual <= 1e-14
-    assert eig.min_singular_value > 0.5
+    H, V = eig.matrix, eig.right_vectors
+    assert np.linalg.norm(H @ V - V * eig.values) / np.linalg.norm(H) <= 1e-14
+    # the eigenvectors span: V's smallest singular value is far from zero
+    assert np.linalg.svd(V, compute_uv=False)[-1] > 0.5
 
 
 def test_shared_eigenpairs_give_identical_results():
@@ -119,6 +120,19 @@ def test_decompose_golden_reversed_diagonal():
     sd = decompose(np.diag([2.0, 1.0]).astype(complex))
     assert_allclose(sd.lam, np.array([1.0, 2.0]), atol=0)
     assert_allclose(sd.S, np.array([[0, 1], [1, 0]]), atol=0)
+
+
+def biorthogonality_check(sd):
+    """Largest relative left-eigenvector residual of the rows of S.
+
+    H = S^-1 diag(lam) S makes row k of S a left eigenvector for lam_k,
+    S_k H = lam_k S_k, so this returns
+    max_k ||S_k H - lam_k S_k|| / (||H||_F ||S_k||), 0 for H = 0.
+    """
+    R = sd.S @ sd.matrix - sd.lam[:, np.newaxis] * sd.S
+    rel = np.linalg.norm(R, axis=1) / np.linalg.norm(sd.S, axis=1)
+    h = np.linalg.norm(sd.matrix)
+    return float(np.max(rel)) / h if h else 0.0
 
 
 def test_decompose_reconstructs():
@@ -233,7 +247,7 @@ def _ref_classify(values, eps_real=1e-8, eps_pair=1e-8):
         return (z.real, z.imag)
 
     pairs.sort(key=pair_key)
-    return SpectrumClassification(tuple(real_idx), tuple(pairs), eps_real, eps_pair)
+    return SpectrumClassification(tuple(real_idx), tuple(pairs))
 
 
 def _ref_build(classification, eigenpairs, cond_cap=1e8):

@@ -32,10 +32,10 @@ positive number (exit 5 otherwise).
 stdout is always strict JSON: a number that is NaN or infinite (say, a
 figure that overflowed on entries near 1e308) is written as null. The
 exit code is the one the command gives anyway. Every document, usage
-errors and written matrix files included, has the same layout. Every value
-is encoded before the first byte is written; enumerate's class list is
-then made and written one block of classes at a time, so its memory does
-not grow with the class count.
+errors and written matrix files included, has the same layout. Matrix rows
+and enumerate's classes are made and written a row or a block at a time, so
+memory does not grow with them; every other value is encoded before the first
+byte. One finiteness check picks a matrix's encoder, so no row fails partway.
 
 main builds the parser of the named subcommand only; any other argv (none,
 -h, an unknown command) gets all seven, so help and usage errors read the same.
@@ -51,7 +51,7 @@ import math
 import os
 import re
 import sys
-from itertools import chain, product, repeat
+from itertools import chain, product
 
 import numpy as np
 
@@ -138,32 +138,28 @@ def _nonfinite_to_null(value):
     return value
 
 
-class _Lines(list):
+def _encode_nulls(value) -> str:
+    """The strict JSON text of ``value``, every NaN or infinite float as null."""
+    return _STRICT.encode(_nonfinite_to_null(value))
+
+
+class _Lines:
     """A JSON array printed one item per line after ``pad``.
 
-    Its items are values, encoded with the rest of the document. An
-    ``encoded`` array keeps its items, JSON texts already, as ``texts``:
-    any iterable, an iterator included. They are copied as they are and
-    written one at a time, never joined, so an iterator is read only while
-    the document is written.
+    Its items are ``texts``, JSON texts already: any iterable, an iterator
+    included. They are written one at a time, never joined, so an iterator
+    is read only while the document is written.
     """
 
-    def __init__(self, items, pad: str, encoded: bool = False):
-        super().__init__(() if encoded else items)
-        self.pad, self.encoded = pad, encoded
-        self.texts = items if encoded else ()
+    def __init__(self, texts, pad: str):
+        self.texts, self.pad = texts, pad
 
 
 def _pieces(value, depth: int, encode, out: list) -> None:
     """Append the JSON text of ``value`` to ``out``, in pieces joined once;
-    an encoded ``_Lines`` goes in as itself, between its brackets."""
-    if isinstance(value, _Lines) and value.encoded:
+    a ``_Lines`` goes in as itself, between its brackets."""
+    if isinstance(value, _Lines):
         out += ["[\n" + value.pad, value, "\n" + " " * depth + "]"]
-    elif isinstance(value, _Lines):
-        first = len(out)
-        out += chain.from_iterable(zip(repeat(",\n" + value.pad), map(encode, value)))
-        out[first : first + 1] = ["[\n" + value.pad]  # the first separator opens the array
-        out.append("\n" + " " * depth + "]")
     elif isinstance(value, dict):
         # the document: one key per line; nested values compact, since
         # json.dump's indent would spread every [re, im] cell over four lines
@@ -180,17 +176,17 @@ def _pieces(value, depth: int, encode, out: list) -> None:
 def _write_doc(doc: dict, stream) -> None:
     """Write ``doc`` and a newline to ``stream``.
 
-    Every value is encoded before the first write, so an encoding error
-    (a non-finite float, written as null instead) leaves nothing half
-    written. The pieces between encoded ``_Lines`` are joined and written
-    once; the texts of an encoded ``_Lines`` are written one at a time.
+    Values outside ``_Lines`` are encoded before the first write, so a
+    non-finite float (written as null instead) leaves nothing half written.
+    The pieces between ``_Lines`` are joined and written once; the texts of a
+    ``_Lines``, whose encoder is fixed up front, are made and written singly.
     """
     out: list = []
     try:
         _pieces(doc, 0, _STRICT.encode, out)
     except ValueError:  # a non-finite float
         out = []
-        _pieces(doc, 0, lambda value: _STRICT.encode(_nonfinite_to_null(value)), out)
+        _pieces(doc, 0, _encode_nulls, out)
     out.append("\n")
     start = 0
     for i, piece in enumerate(out):
@@ -223,8 +219,12 @@ def _complex_pairs(values) -> list:
 
 
 def _matrix_doc(M: np.ndarray) -> dict:
-    M = np.asarray(M, dtype=np.complex128)
-    return {"schema": 1, "n": int(M.shape[0]), "entries": _Lines(_complex_pairs(M), "   ")}
+    """The matrix-file document of ``M``; a row is encoded only as it is written."""
+    M = np.ascontiguousarray(M, dtype=np.complex128)
+    cells = M.view(np.float64).reshape(M.shape + (2,))  # [re, im] per entry, no copy
+    encode = _STRICT.encode if np.isfinite(cells).all() else _encode_nulls
+    rows = map(encode, map(np.ndarray.tolist, cells))
+    return {"schema": 1, "n": int(M.shape[0]), "entries": _Lines(rows, "   ")}
 
 
 def _write_matrix_file(path: str, M: np.ndarray) -> None:
@@ -535,7 +535,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         {
             "schema": 1,
             "count": len(firsts) * len(seconds),
-            "classes": _Lines(blocks, "  ", encoded=True),
+            "classes": _Lines(blocks, "  "),
         }
     )
     return EXIT_OK

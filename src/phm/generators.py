@@ -28,7 +28,7 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
-GENERATE_DIM_CAP = 1024  # at the cap: about 8 s of CPU and 360 MB, one BLAS thread
+GENERATE_DIM_CAP = 1024  # at the cap: about 5-8 s of CPU and 170 MB, one BLAS thread
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import chain, product, repeat
@@ -175,12 +176,17 @@ def test_matrix_file_exact_round_trip(tmp_path_factory, data, n):
     _write_matrix_file(path, M)
     assert read_matrix_file(path).tobytes() == M.tobytes()  # bit for bit, -0.0 included
     reference = [[[float(z.real), float(z.imag)] for z in row] for row in M]
-    assert json.dumps(_matrix_doc(M)["entries"]) == json.dumps(reference)
+    assert "[" + ", ".join(_matrix_doc(M)["entries"].texts) + "]" == json.dumps(reference)
 
 
 def _reference_matrix_file(M) -> str:
-    """The matrix-file template the one document renderer replaced."""
-    rows = ",\n   ".join(json.dumps([[float(z.real), float(z.imag)] for z in row]) for row in M)
+    """The matrix-file template the one document renderer replaced, with
+    null for every NaN or infinite part."""
+
+    def part(x):
+        return float(x) if math.isfinite(x) else None
+
+    rows = ",\n   ".join(json.dumps([[part(z.real), part(z.imag)] for z in row]) for row in M)
     return '{\n "schema": 1,\n "n": %d,\n "entries": [\n   %s\n ]\n}\n' % (M.shape[0], rows)
 
 
@@ -201,13 +207,34 @@ def test_matrix_file_bytes_edge_values(tmp_path):
     assert path.read_text(encoding="utf-8") == _reference_matrix_file(M)
 
 
+def test_matrix_file_bytes_nonfinite_as_null(tmp_path):
+    M = np.array([[1.0, np.inf], [complex(np.nan, -np.inf), -0.0]])
+    path = tmp_path / "m.json"
+    _write_matrix_file(str(path), M)
+    text = path.read_text(encoding="utf-8")
+    assert text == _reference_matrix_file(M)
+    assert _strict_json(text)["entries"][1][0] == [None, None]
+
+
+def test_matrix_file_writer_memory_stays_near_the_matrix(tmp_path):
+    rng = np.random.default_rng(7)
+    M = rng.standard_normal((256, 256)) + 1j * rng.standard_normal((256, 256))
+    tracemalloc.start()
+    try:
+        _write_matrix_file(str(tmp_path / "m.json"), M)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * M.nbytes
+
+
 def _joined_doc(doc) -> str:
     """The emitter before it streamed: every piece of the document, the
-    items of an encoded _Lines included, joined into one str and printed."""
+    texts of a _Lines included, joined into one str and printed."""
 
     def pieces(value, depth, encode, out):
         if isinstance(value, _Lines):
-            items = list(value.texts) if value.encoded else map(encode, value)
+            items = list(value.texts)
             first = len(out)
             out += chain.from_iterable(zip(repeat(",\n" + value.pad), items))
             out[first : first + 1] = ["[\n" + value.pad]
@@ -247,7 +274,7 @@ _CLASS_TEXTS = [
     "make_doc",
     [
         lambda: _matrix_doc(np.array([[1 + 2j, -0.0], [5e-324, 1e308 - 1j]])),
-        lambda: {"schema": 1, "count": 2, "classes": _Lines(iter(_CLASS_TEXTS), "  ", encoded=True)},
+        lambda: {"schema": 1, "count": 2, "classes": _Lines(iter(_CLASS_TEXTS), "  ")},
         lambda: {
             "schema": 1,
             "residual": float("nan"),
@@ -255,7 +282,7 @@ _CLASS_TEXTS = [
             "M": _matrix_doc(np.array([[1.0, np.inf], [np.nan, 0.0]])),
         },
     ],
-    ids=["eager", "iterator", "nonfinite"],
+    ids=["matrix", "iterator", "nonfinite"],
 )
 def test_write_doc_matches_one_join(make_doc):
     out = io.StringIO()
@@ -1218,21 +1245,50 @@ def test_cli_contract(contract_dir, data):
         assert err.getvalue() == "" and not caught, (argv, [str(w.message) for w in caught])
 
 
-def test_closed_stdout_exits_9_without_traceback(tmp_path):
-    # r = 16 lists 2**15 classes, about 3 MB: far more than a pipe buffers
-    path = write_matrix_json(tmp_path / "h.json", np.diag(np.arange(1.0, 17.0)))
+def _close_stdout_early(argv, unbuffered=None):
+    """Run ``python -m phm *argv``, read 50 bytes of its stdout, close it,
+    and return the exit code, those bytes and stderr. ``unbuffered`` sets
+    (True) or removes (False) PYTHONUNBUFFERED in the child; None inherits it."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(phm.__file__)))
     pythonpath = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": pythonpath}
+    if unbuffered is not None:
+        env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     proc = subprocess.Popen(
-        [sys.executable, "-m", "phm", "enumerate", path],
+        [sys.executable, "-m", "phm", *argv],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env={**os.environ, "PYTHONPATH": pythonpath},
+        env=env,
     )
     head = proc.stdout.read(50)
     proc.stdout.close()
     err = proc.stderr.read()
     proc.stderr.close()
-    assert proc.wait(timeout=60) == 9
+    return proc.wait(timeout=60), head, err
+
+
+def test_closed_stdout_exits_9_without_traceback(tmp_path):
+    # r = 16 lists 2**15 classes, about 3 MB: far more than a pipe buffers
+    path = write_matrix_json(tmp_path / "h.json", np.diag(np.arange(1.0, 17.0)))
+    code, head, err = _close_stdout_early(["enumerate", path])
+    assert code == 9
+    assert head.startswith(b'{\n "schema": 1,')
+    assert b"Traceback" not in err
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize(
+    "command,flag",
+    [("metric", "--mu=" + ",".join("1" * 128)), ("canonical", "--signs=" + ",".join("+" * 128))],
+    ids=["metric", "canonical"],
+)
+def test_closed_stdout_exits_9_on_a_matrix(tmp_path, command, flag, unbuffered):
+    # an n = 128 metric is about 200 KB, more than a pipe buffers; unbuffered,
+    # one whole-document write would come back short instead of raising
+    path = write_matrix_json(tmp_path / "h.json", np.diag(np.arange(1.0, 129.0)))
+    code, head, err = _close_stdout_early([command, path, flag], unbuffered)
+    assert code == 9
     assert head.startswith(b'{\n "schema": 1,')
     assert b"Traceback" not in err

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import math
 import os
@@ -277,7 +278,26 @@ def _entries_array(entries: list, n: int) -> np.ndarray | None:
 
 
 def read_matrix_file(path: str) -> np.ndarray:
-    """Parse a MatrixFile JSON document into a complex square array."""
+    """Parse a MatrixFile JSON document into a complex square array.
+
+    The cyclic garbage collector is paused while the file is parsed and
+    converted. The parsed document holds one list per row and per cell
+    (16 512 at n = 128) and no reference cycle, so each collection that
+    those allocations would trigger walks the tree and frees nothing. The
+    document is released before the collector is turned back on, and only
+    if it was on when the call began. The pause is process-wide: no cyclic
+    collection runs in any thread while this call runs.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _read_matrix_file(path)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _read_matrix_file(path: str) -> np.ndarray:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -293,8 +313,9 @@ def read_matrix_file(path: str) -> np.ndarray:
         raise FileFormatError(f"{path}: arrays or objects nested too deeply") from None
     if not isinstance(doc, dict):
         raise FileFormatError(f"{path}: top level must be a JSON object")
-    if doc.get("schema", 1) != 1:
-        raise FileFormatError(f"{path}: unsupported schema {doc.get('schema')!r}")
+    schema = doc.get("schema", 1)
+    if not isinstance(schema, int) or isinstance(schema, bool) or schema != 1:
+        raise FileFormatError(f"{path}: unsupported schema {schema!r}")
     n = doc.get("n")
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise FileFormatError(f"{path}: field 'n' must be a positive integer")

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import io
 import json
 import math
@@ -116,6 +117,8 @@ def test_matrix_file_diagnostics_name_row_column(tmp_path):
         json.dumps({"schema": 1, "n": 1, "entries": [[[np.inf, 0]]]}).replace(
             "Infinity", "1e999"
         ),
+        json.dumps({"schema": True, "n": 1, "entries": [[[1, 0]]]}),
+        json.dumps({"schema": 1.0, "n": 1, "entries": [[[1, 0]]]}),
     ],
 )
 def test_matrix_file_rejects_malformed(tmp_path, doc):
@@ -321,6 +324,66 @@ def test_unreadable_file_exits_1(capsys, tmp_path, raw, message):
     assert doc["error"]["type"] == "FileFormatError"
     assert message in doc["error"]["message"]
     assert "Traceback" not in err
+
+
+_READS = {
+    "ok": json.dumps({"schema": 1, "n": 1, "entries": [[[1, 0]]]}).encode(),
+    "missing": None,
+    "invalid-json": b"not json at all {",
+    "bad-cell": _with_cell('"x"'),
+    "deep-nesting": b"[" * 100000,
+}
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize("case", list(_READS))
+def test_read_restores_collector_state(tmp_path, case, enabled):
+    path = tmp_path / "m.json"
+    if _READS[case] is not None:
+        path.write_bytes(_READS[case])
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if case == "ok":
+            read_matrix_file(str(path))
+        else:
+            with pytest.raises(FileFormatError):
+                read_matrix_file(str(path))
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_read_runs_no_collection(tmp_path):
+    # At n = 128 the document's 16 512 lists would set off 22 young and one
+    # middle collection, none of which can free anything; the document is
+    # gone before the collector resumes, so the next allocation sets off none.
+    path = write_matrix_json(tmp_path / "h.json", make_instance(128, 64, 32, seed=1).H)
+    starts = []
+
+    def count(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    was = gc.isenabled()
+    gc.enable()
+    gc.callbacks.append(count)
+    try:
+        gc.collect()
+        starts.clear()
+        M = read_matrix_file(path)
+        during = len(starts)
+        first = [M]
+        # up to 3.11 a due collection runs at the allocation itself; from 3.12
+        # on it runs at the next eval-breaker check, which a backward jump makes
+        for _ in range(2):
+            pass
+        after = len(starts) - during
+    finally:
+        gc.callbacks.remove(count)
+        (gc.enable if was else gc.disable)()
+    assert (during, after) == (0, 0)
+    assert first[0].shape == (128, 128)
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,7 @@ exits with a documented code:
     0  success (all gates passed)
     1  malformed input: unparsable file (including a number too large for a
        float), usage error, size mismatch
-    2  classification failure (including inadmissible characteristic polynomial)
+    2  classification failure (spectrum not conjugation-symmetric)
     3  degenerate spectrum
     4  numerical failure (ill-conditioned diagonalizer, solver breakdown:
        numpy LinAlgError or MemoryError)
@@ -20,11 +20,11 @@ exits with a documented code:
     9  stdout closed before the whole document was written (say, piped
        into head)
 
-Matrix files are JSON: {"schema": 1, "n": N, "entries": [[[re, im], ...], ...]}
-with N rows of N two-element [re, im] cells. Complex command-line
-literals use a+bi form ("1.5-2e-3i"); a bare real is accepted, forms
-with a coefficient-less i are rejected as ambiguous. The env var
-PHM_DEFAULT_TOL overrides the 1e-8 default classification tolerances of
+Matrix files are JSON: {"schema": 1, "n": N, "entries": [[[re, im], ...], ...]},
+all three fields required, with N rows of N two-element [re, im] cells.
+Complex command-line literals use a+bi form ("1.5-2e-3i"); a bare real is
+accepted, forms with a coefficient-less i are rejected as ambiguous. The env
+var PHM_DEFAULT_TOL overrides the 1e-8 default classification tolerances of
 every command that decomposes H; analyze's --eps-real, --eps-pair and
 --gap-tol flags override it for analyze. Each tolerance must be a finite
 positive number (exit 5 otherwise).
@@ -84,8 +84,6 @@ from .metrics import (
 from .oracle import MATCH_DEFECT_TOL, RANK_GAP_WARN, family_vs_kernel, hermitian_basis, solution_space
 from .spectral import (
     DEFAULT_TOL,
-    AdmissibilityReport,
-    SpectralData,
     Tolerances,
     check_ph_admissible,
     decompose,
@@ -313,7 +311,7 @@ def _read_matrix_file(path: str) -> np.ndarray:
         raise FileFormatError(f"{path}: arrays or objects nested too deeply") from None
     if not isinstance(doc, dict):
         raise FileFormatError(f"{path}: top level must be a JSON object")
-    schema = doc.get("schema", 1)
+    schema = doc.get("schema")
     if not isinstance(schema, int) or isinstance(schema, bool) or schema != 1:
         raise FileFormatError(f"{path}: unsupported schema {schema!r}")
     n = doc.get("n")
@@ -400,27 +398,6 @@ def _tolerances(args: argparse.Namespace) -> Tolerances:
     return Tolerances(eps_real=pick("eps_real"), eps_pair=pick("eps_pair"), gap_tol=pick("gap_tol"))
 
 
-def _inadmissible(adm: AdmissibilityReport) -> ClassificationError:
-    return ClassificationError(
-        "characteristic polynomial has a relative imaginary coefficient of "
-        f"{adm.max_imag_coeff:.3e}; matrix is not pseudo-hermitian admissible"
-    )
-
-
-def _gated_decompose(H: np.ndarray, tol: Tolerances) -> SpectralData:
-    """Admissibility-check and decompose H from one eigendecomposition."""
-    eig = eigendecompose(H)
-    adm = check_ph_admissible(H, tol=tol.eps_real, eigenpairs=eig)
-    if not adm.is_ph:
-        raise _inadmissible(adm)
-    return decompose(H, tol=tol, eigenpairs=eig)
-
-
-def _decompose_file(path: str, args: argparse.Namespace) -> SpectralData:
-    """Shared front half: read, admissibility-check, decompose."""
-    return _gated_decompose(read_matrix_file(path), _tolerances(args))
-
-
 def _check_magnitudes(values, what: str) -> None:
     small = [abs(v) for v in values if abs(v) < MIN_PARAM_MAGNITUDE]
     if small:
@@ -434,14 +411,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     H = read_matrix_file(args.path)
     tol = _tolerances(args)
     eig = eigendecompose(H)
-    adm = check_ph_admissible(H, tol=tol.eps_real, eigenpairs=eig)
-    if not adm.is_ph:
-        _emit_error(
-            _inadmissible(adm),
-            extra={"is_ph_admissible": False, "max_imag_coeff": adm.max_imag_coeff},
-        )
+    try:
+        sd = decompose(H, tol=tol, eigenpairs=eig)
+    except ClassificationError as exc:
+        # the polynomial figure is reported, not gated on
+        adm = check_ph_admissible(H, eigenpairs=eig)
+        _emit_error(exc, extra={"is_ph_admissible": False, "max_imag_coeff": adm.max_imag_coeff})
         return EXIT_CLASSIFY
-    sd = decompose(H, tol=tol, eigenpairs=eig)
     _emit(
         {
             "schema": 1,
@@ -483,7 +459,7 @@ def _residual_gate(residual: float) -> int:
 
 
 def cmd_metric(args: argparse.Namespace) -> int:
-    sd = _decompose_file(args.path, args)
+    sd = decompose(read_matrix_file(args.path), tol=_tolerances(args))
     mu = [parse_real_literal(t) for t in _split_csv(args.mu)]
     tau = [parse_complex_literal(t) for t in _split_csv(args.tau)]
     if len(mu) != sd.r or len(tau) != sd.p:
@@ -515,7 +491,7 @@ def _reduce_angle(t: float) -> float:
 
 
 def cmd_canonical(args: argparse.Namespace) -> int:
-    sd = _decompose_file(args.path, args)
+    sd = decompose(read_matrix_file(args.path), tol=_tolerances(args))
     signs = _parse_letters(args.signs, {"+": 1, "-": -1}, "signs must be '+' or '-'")
     bits = _parse_letters(args.n, {"0": 0, "1": 1}, "orientation bits must be 0 or 1")
     theta = tuple(_reduce_angle(parse_real_literal(t)) for t in _split_csv(args.theta))
@@ -529,7 +505,7 @@ def cmd_canonical(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    sd = _decompose_file(args.path, args)
+    sd = decompose(read_matrix_file(args.path), tol=_tolerances(args))
     # A class prints as the text of its first k = (r + p) // 2 letters and
     # the text of the rest between fixed pieces. Each table is formatted
     # once; the loop runs once per first-half word, not per sign row or class.
@@ -566,7 +542,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     H = read_matrix_file(args.path)
     basis = hermitian_basis(H.shape[0])  # enforces the dense-solve cap
     try:
-        sd = _gated_decompose(H, _tolerances(args))
+        sd = decompose(H, tol=_tolerances(args))
     except DegenerateSpectrumError as exc:
         # Still report the kernel: its dimension exceeding n is exactly why
         # degenerate spectra are outside the family's reach.

@@ -58,6 +58,21 @@ def hermiticity_defect(a: np.ndarray) -> float:
     return frobenius(a - a.conj().T) / na
 
 
+def unit_exponent(a: np.ndarray) -> int:
+    """The k that puts ``a``'s largest |Re| or |Im| times 2**-k in [0.5, 1); 0 if all zero."""
+    top = max(float(np.max(np.abs(a.real))), float(np.max(np.abs(a.imag))))
+    return math.frexp(top)[1]
+
+
+def times_power_of_two(a: np.ndarray, k: int) -> np.ndarray:
+    """``a`` times 2**k, exact unless a part leaves the float range; ``a`` itself if k is 0."""
+    if k == 0:
+        return a
+    out = np.empty_like(a)
+    out.real, out.imag = np.ldexp(a.real, k), np.ldexp(a.imag, k)
+    return out
+
+
 def unit_scaled(a: np.ndarray) -> np.ndarray:
     """``a`` times the power of two that puts its largest |Re| or |Im| in [0.5, 1).
 
@@ -66,14 +81,7 @@ def unit_scaled(a: np.ndarray) -> np.ndarray:
     Returns ``a`` itself when it is already in that range (or all zero), so
     callers must only read the result.
     """
-    top = max(float(np.max(np.abs(a.real))), float(np.max(np.abs(a.imag))))
-    shift = -math.frexp(top)[1]
-    if shift == 0:
-        return a
-    out = np.empty_like(a)
-    out.real = np.ldexp(a.real, shift)
-    out.imag = np.ldexp(a.imag, shift)
-    return out
+    return times_power_of_two(a, -unit_exponent(a))
 
 
 def require_hermitian(a: np.ndarray, name: str = "matrix") -> np.ndarray:

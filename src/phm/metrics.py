@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 
 import numpy as np
@@ -277,16 +277,7 @@ def gauge_absorb(sd: SpectralData, params: MetricParameters) -> tuple[SpectralDa
         [np.sqrt(np.abs(params.mu)), np.repeat(np.sqrt(np.abs(params.tau)), 2)]
     )
     S_prime = d0[:, np.newaxis] * sd.S
-    sd_prime = SpectralData(
-        matrix=sd.matrix,
-        lam=sd.lam,
-        S=S_prime,
-        r=sd.r,
-        p=sd.p,
-        min_gap=sd.min_gap,
-        cond_S=float(np.linalg.cond(S_prime)),
-        sym_shift=sd.sym_shift,
-    )
+    sd_prime = replace(sd, S=S_prime, cond_S=float(np.linalg.cond(S_prime)))
     # atan2, not cmath.phase: phase raises OverflowError when the angle underflows
     theta = tuple(math.atan2(t.imag, t.real) % TWO_PI for t in params.tau)
     cls = CanonicalClass(

@@ -13,7 +13,7 @@ brute-force solution-space check) consumes the resulting
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .errors import (
     IllConditionedError,
     NumericError,
 )
-from .matrices import as_square_matrix, lock
+from .matrices import as_square_matrix, lock, times_power_of_two, unit_exponent
 
 # Components below this fraction of a unit vector's norm are treated as zero
 # when fixing the column phase gauge.
@@ -132,14 +132,13 @@ def _scale(values: np.ndarray) -> float:
 def check_ph_admissible(
     H, tol: float = DEFAULT_TOL, eigenpairs: RawEigenpairs | None = None
 ) -> AdmissibilityReport:
-    """Check that the characteristic polynomial has real coefficients.
+    """The characteristic polynomial's largest imaginary coefficient, relative.
 
-    The coefficients are computed in product form from the eigenvalues;
-    the report carries the largest imaginary part relative to the largest
-    coefficient magnitude. A matrix similar to its own adjoint (the
-    defining property of a pseudo-hermitian matrix) passes this check.
-    ``eigenpairs``, if given, must be ``eigendecompose(H)``; it saves
-    diagonalizing H again.
+    ``np.poly`` builds the coefficients from the eigenvalues; they are
+    ill-conditioned in them and overflow far inside the float range, so no
+    command gates on this: it only fills ``analyze``'s error document when
+    classification fails. ``eigenpairs``, if given, must be
+    ``eigendecompose(H)``; it saves diagonalizing H again.
     """
     if eigenpairs is None:
         eigenpairs = eigendecompose(H)
@@ -381,8 +380,31 @@ def decompose(
     supported class (non-admissible, degenerate, or numerically hopeless).
     ``eigenpairs``, if given, must be ``eigendecompose(H)``; it saves
     validating and diagonalizing H again.
+
+    Eigenvalues whose largest |Re| or |Im| lies outside [2**-500, 2**500)
+    are classified, gap-checked and ordered at unit scale (times a power of
+    two), where moduli, midpoints and gaps cannot overflow; ``lam``,
+    ``min_gap`` and ``sym_shift`` are scaled back exactly. A refusal at unit
+    scale is raised from the same checks at the input's scale where they
+    refuse too, so its message quotes the input's figures.
     """
     eig = eigendecompose(H) if eigenpairs is None else eigenpairs
-    cls = classify_spectrum(eig.values, eps_real=tol.eps_real, eps_pair=tol.eps_pair)
-    assert_nondegenerate(eig.values, gap_tol=tol.gap_tol)
-    return build_spectral_data(cls, eig, cond_cap=tol.cond_cap)
+    k = unit_exponent(eig.values)
+    k = 0 if -500 < k <= 500 else k
+    unit = RawEigenpairs(times_power_of_two(eig.values, -k), eig.right_vectors, eig.matrix)
+    try:
+        cls = classify_spectrum(unit.values, eps_real=tol.eps_real, eps_pair=tol.eps_pair)
+        assert_nondegenerate(unit.values, gap_tol=tol.gap_tol)
+    except (ClassificationError, DegenerateSpectrumError):
+        if k:
+            with np.errstate(all="ignore"):
+                classify_spectrum(eig.values, eps_real=tol.eps_real, eps_pair=tol.eps_pair)
+                assert_nondegenerate(eig.values, gap_tol=tol.gap_tol)
+        raise
+    sd = build_spectral_data(cls, unit, cond_cap=tol.cond_cap)
+    return replace(
+        sd,
+        lam=times_power_of_two(sd.lam, k),
+        min_gap=math.ldexp(sd.min_gap, k),
+        sym_shift=math.ldexp(sd.sym_shift, k),
+    )

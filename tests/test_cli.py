@@ -119,6 +119,7 @@ def test_matrix_file_diagnostics_name_row_column(tmp_path):
         ),
         json.dumps({"schema": True, "n": 1, "entries": [[[1, 0]]]}),
         json.dumps({"schema": 1.0, "n": 1, "entries": [[[1, 0]]]}),
+        json.dumps({"n": 1, "entries": [[[1, 0]]]}),
     ],
 )
 def test_matrix_file_rejects_malformed(tmp_path, doc):
@@ -126,6 +127,15 @@ def test_matrix_file_rejects_malformed(tmp_path, doc):
     path.write_text(doc)
     with pytest.raises(FileFormatError):
         read_matrix_file(str(path))
+
+
+def test_matrix_file_without_schema_exits_1(capsys, tmp_path):
+    # "schema" is required like "n" and "entries", not read as 1 when absent
+    path = tmp_path / "noschema.json"
+    path.write_text(json.dumps({"n": 1, "entries": [[[1, 0]]]}))
+    code, doc, _ = run(capsys, "analyze", str(path))
+    assert code == 1
+    assert doc["error"]["message"] == f"{path}: unsupported schema None"
 
 
 @pytest.mark.parametrize(
@@ -1048,16 +1058,20 @@ def _strict_loads(text):
 
 
 def test_nonfinite_numbers_print_as_null(capsys, tmp_path):
-    # entries near 1e308 overflow the polynomial figure of the admissibility gate
+    # entries near 1e308 are valid: one conjugate pair, classified at unit scale,
+    # so no figure overflows; the null fallback itself is tested by
+    # test_write_doc_matches_one_join[nonfinite]
     path = tmp_path / "huge.json"
     path.write_text(
         '{"schema":1,"n":2,"entries":[[[1e308,0],[5e307,0]],[[-5e307,0],[1e308,0]]]}'
     )
     code, text, _ = run(capsys, "analyze", str(path), parse=False)
-    assert code == 2
+    assert code == 0
     doc = _strict_loads(text)
-    assert doc["max_imag_coeff"] is None
-    assert doc["error"]["type"] == "ClassificationError"
+    assert (doc["r"], doc["p"]) == (0, 1)
+    lam = [complex(*z) for z in doc["eigenvalues"]]
+    for z, want in zip(lam, (1e308 + 5e307j, 1e308 - 5e307j)):
+        assert abs(z - want) <= 1e-15 * abs(want)
 
 
 @pytest.mark.parametrize("flag, value", [("--gap-tol", "nan"), ("--eps-real", "-1"), ("--eps-pair", "inf"), ("--gap-tol", "0")])

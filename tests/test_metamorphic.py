@@ -11,6 +11,12 @@ need no reference output:
 Each relation maps a generated instance and its certificate (the metric
 built from all-ones parameters, inertia (r + p, p, 0)) and checks the
 mapped pair.
+
+Maps of H alone, c H + d I and H^-1, keep the shape of the spectrum: r real
+values and p conjugate pairs. So analyze's (r, p), inertia floor and class
+count, and enumerate's bytes, do not change under them. For c > 0 the map
+also keeps H's eigenvectors and the order of its eigenvalues, so metric and
+canonical build the same M from the same parameters, up to rounding.
 """
 
 import io
@@ -25,7 +31,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_instance, write_matrix_json
-from phm import intertwining_residual, solution_space
+from phm import GeneratorConfig, generate_via_spectrum, intertwining_residual, solution_space
 from phm.cli import main
 
 
@@ -49,14 +55,20 @@ _SPLITS_UP_TO_32 = [(n, r, (n - r) // 2) for n in range(1, 33) for r in range(n,
 _SPLITS_UP_TO_12 = [split for split in _SPLITS_UP_TO_32 if split[0] <= 12]
 
 
+def _run(*argv):
+    """Exit code, stdout and stderr of one in-process ``phm`` call."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
 def _verify(H, M):
     """Exit code, stdout document and stderr of ``phm verify`` on (H, M)."""
     with tempfile.TemporaryDirectory() as d:
         paths = [write_matrix_json(os.path.join(d, f"{name}.json"), A) for name, A in (("h", H), ("m", M))]
-        out, err = io.StringIO(), io.StringIO()
-        with redirect_stdout(out), redirect_stderr(err):
-            code = main(["verify", *paths])
-    return code, json.loads(out.getvalue()), err.getvalue()
+        code, out, err = _run("verify", *paths)
+    return code, json.loads(out), err
 
 
 def _check_verify(inst, name, seed):
@@ -102,3 +114,82 @@ def test_solution_space_dimension_is_invariant(name, split, seed):
     inst = make_instance(*split, seed=seed)
     H, _, _ = MAPS[name](inst.H, inst.certificate.M, seed)
     assert solution_space(H).dimension == split[0]
+
+
+# name -> (H -> mapped H, whether the map is c H + d I with c > 0)
+SPECTRUM_MAPS = {
+    "2**-500 H": (lambda H: 2.0**-500 * H, True),
+    "2**40 H": (lambda H: 2.0**40 * H, True),
+    "2**500 H": (lambda H: 2.0**500 * H, True),
+    "H + 1e3 max|H| I": (lambda H: H + 1e3 * np.abs(H).max() * np.eye(H.shape[0]), True),
+    "H^-1": (np.linalg.inv, False),
+}
+
+
+def _metric_args(r, p):
+    """metric and canonical arguments with mixed signs, magnitudes, bits and phases."""
+    mu = ",".join(f"{(-1) ** i * (1 + i / 4):g}" for i in range(r))
+    tau = ",".join(f"{1 + i / 8:g}{-0.5 + i / 4:+g}i" for i in range(p))
+    signs = ",".join("-" if i % 3 == 1 else "+" for i in range(r))
+    bits = ",".join(str(i % 2) for i in range(p))
+    theta = ",".join(f"{0.3 + i:g}" for i in range(p))
+    return ["--mu", mu, "--tau", tau], ["--signs", signs, "--n", bits, "--theta", theta]
+
+
+def _M(out):
+    """The matrix M of a metric or canonical stdout document."""
+    return np.array([[complex(*z) for z in row] for row in json.loads(out)["M"]["entries"]])
+
+
+def _check_spectrum_map(H, name):
+    """Check analyze, enumerate, metric and canonical on H against the mapped H."""
+    mapped, keeps_eigenvectors = SPECTRUM_MAPS[name]
+    pair = (H, mapped(H))
+    with tempfile.TemporaryDirectory() as d:
+        paths = [write_matrix_json(os.path.join(d, f"{k}.json"), A) for k, A in enumerate(pair)]
+        docs = []
+        for path in paths:
+            code, out, err = _run("analyze", path)
+            assert code == 0, err
+            docs.append(json.loads(out))
+        shape = [(doc["r"], doc["p"], doc["inertia_floor"], doc["class_count"]) for doc in docs]
+        assert shape[1] == shape[0]
+        assert _run("enumerate", paths[1])[:2] == _run("enumerate", paths[0])[:2]
+        if not keeps_eigenvectors:
+            return
+        # Both sides build the same M in exact arithmetic and differ by eig's
+        # rounding only. eig is backward stable: it solves A + E with
+        # |E| <= c n eps |A|, c a small constant, here 10. That moves a unit
+        # eigenvector by about cond_S |E| / min_gap, and S, the inverse of their
+        # matrix, by cond_S times as much, so M moves by about
+        # cond_S^2 c n eps |A| / min_gap per side. The shift keeps the gaps and
+        # grows |A| a thousandfold, so its side sets the tolerance.
+        n = H.shape[0]
+        cond = max(doc["cond_S"] for doc in docs)
+        spread = sum(np.linalg.norm(A) / doc["min_gap"] for A, doc in zip(pair, docs) if doc["min_gap"])
+        tol = 10 * n * np.finfo(float).eps * cond**2 * spread
+        for command, args in zip(("metric", "canonical"), _metric_args(docs[0]["r"], docs[0]["p"])):
+            (code0, out0, err0), (code1, out1, err1) = (_run(command, path, *args) for path in paths)
+            assert code0 == code1 == 0, err0 + err1
+            M0, M1 = _M(out0), _M(out1)
+            assert np.linalg.norm(M1 - M0) <= tol * np.linalg.norm(M0)
+
+
+@pytest.mark.parametrize("name", sorted(SPECTRUM_MAPS))
+@settings(deadline=None, max_examples=10)
+@given(split=st.sampled_from(_SPLITS_UP_TO_32), seed=st.integers(0, 10**6))
+def test_spectrum_map_keeps_the_answers(name, split, seed):
+    _check_spectrum_map(make_instance(*split, seed=seed).H, name)
+
+
+@pytest.mark.parametrize(
+    "config, name",
+    [
+        # refused by the characteristic-polynomial gate phm once had: a relative
+        # imaginary coefficient of 4.7e-2 and 1.1e-6, from rounding alone
+        (GeneratorConfig(n=128, r=0, p=64, seed=2000, min_gap_target=1e-4), "H + 1e3 max|H| I"),
+        (GeneratorConfig(n=256, r=128, p=64, seed=1), "2**500 H"),
+    ],
+)
+def test_spectrum_map_keeps_the_answers_on_large_instances(config, name):
+    _check_spectrum_map(generate_via_spectrum(config).H, name)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import DIAG12, ROT2, make_instance, rp_splits, write_matrix_json
-from phm import cli, decompose, random_hermitian
+from phm import cli, decompose, random_hermitian, spectral
 from phm.errors import DimensionError, EnumerationCapError, FamilyMismatchError
 from phm.matrices import SIGMA_X, SIGMA_Y, SIGMA_Z
 from phm.oracle import (
@@ -221,6 +221,17 @@ def test_oracle_cap_applies_before_decomposition(capsys, monkeypatch, tmp_path):
     assert cli.main(["oracle", path]) == 6
     doc = json.loads(capsys.readouterr().out)
     assert doc["error"]["message"] == "dense solve is capped at n <= 32, got n = 33"
+
+
+def test_oracle_cap_applies_before_eig(capsys, monkeypatch, tmp_path):
+    # oracle decomposes through spectral.decompose, which calls spectral's eigendecompose
+    def fail(*args, **kwargs):
+        raise AssertionError("decomposed an oversized matrix")
+
+    monkeypatch.setattr(spectral, "eigendecompose", fail)
+    path = write_matrix_json(tmp_path / "big.json", np.eye(33))
+    assert cli.main(["oracle", path]) == 6
+    assert json.loads(capsys.readouterr().out)["error"]["type"] == "EnumerationCapError"
 
 
 # ------------------------------------------- kernel against the full SVD

@@ -82,13 +82,7 @@ from .metrics import (
     intertwining_residual,
 )
 from .oracle import MATCH_DEFECT_TOL, RANK_GAP_WARN, family_vs_kernel, hermitian_basis, solution_space
-from .spectral import (
-    DEFAULT_TOL,
-    Tolerances,
-    check_ph_admissible,
-    decompose,
-    eigendecompose,
-)
+from .spectral import DEFAULT_TOL, Tolerances, check_ph_admissible, decompose, eigendecompose
 
 EXIT_OK = 0
 EXIT_INPUT = 1

@@ -58,10 +58,14 @@ def hermiticity_defect(a: np.ndarray) -> float:
     return frobenius(a - a.conj().T) / na
 
 
-def unit_exponent(a: np.ndarray) -> int:
-    """The k that puts ``a``'s largest |Re| or |Im| times 2**-k in [0.5, 1); 0 if all zero."""
-    top = max(float(np.max(np.abs(a.real))), float(np.max(np.abs(a.imag))))
-    return math.frexp(top)[1]
+def unit_exponent(a: np.ndarray, keep: int = 0) -> int:
+    """The k that puts ``a``'s largest |Re| or |Im| times 2**-k in [0.5, 1).
+
+    0 if ``a`` is all zero or k lies in (-keep, keep]: with ``keep`` 500,
+    only an array whose sums and moduli may overflow is moved.
+    """
+    k = math.frexp(max(float(np.max(np.abs(a.real))), float(np.max(np.abs(a.imag)))))[1]
+    return 0 if -keep < k <= keep else k
 
 
 def times_power_of_two(a: np.ndarray, k: int) -> np.ndarray:

@@ -31,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionError, EnumerationCapError, FamilyMismatchError
-from .matrices import as_square_matrix, lock
+from .matrices import as_square_matrix, lock, times_power_of_two, unit_exponent
 from .metrics import build_M
 from .spectral import SpectralData
 
@@ -244,6 +244,10 @@ def solution_space(H, basis: HermitianBasis | None = None) -> KernelReport:
     second, from an orthonormal block, removes that.
     :func:`family_vs_kernel` measures the span of the result.
 
+    An H with largest |Re| or |Im| outside [2**-500, 2**500) is scaled to
+    unit scale by a power of two first, so L cannot overflow; the kernel is
+    the same, and the singular values are scaled back (inf past the range).
+
     R is scaled by a power of two to a largest singular value in
     [0.5, 1), which changes no bit of the result but keeps 1 / sigma^2,
     up to 1 / eps^2, finite at any scale of H. A kernel makes R singular,
@@ -255,6 +259,8 @@ def solution_space(H, basis: HermitianBasis | None = None) -> KernelReport:
     H = as_square_matrix(H, name="H")
     if basis is None:
         basis = hermitian_basis(H.shape[0])
+    shift = unit_exponent(H, keep=500)
+    H = times_power_of_two(H, -shift)
     L = intertwining_operator_matrix(H, basis=basis)
     s = np.linalg.svd(L, compute_uv=False)
     smax = float(s[0])
@@ -279,11 +285,13 @@ def solution_space(H, basis: HermitianBasis | None = None) -> KernelReport:
             X = np.linalg.qr(_solve_upper(R, Z))[0]
         coords = X.T
     kernel = matrix_from_coords(basis, coords)
-    s_asc = s[::-1].copy()
+    s_asc = s[::-1]
     if dim == 0 or dim == s_asc.size or s_asc[dim - 1] == 0.0:
         gap = np.inf
     else:
         gap = float(s_asc[dim] / s_asc[dim - 1])
+    with np.errstate(over="ignore"):
+        s_asc = np.ldexp(s_asc, shift)
     return KernelReport(dimension=dim, basis=kernel, singular_values=s_asc, gap_ratio=gap)
 
 

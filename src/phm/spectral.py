@@ -17,12 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (
-    ClassificationError,
-    DegenerateSpectrumError,
-    IllConditionedError,
-    NumericError,
-)
+from .errors import ClassificationError, DegenerateSpectrumError, IllConditionedError, NumericError
 from .matrices import as_square_matrix, lock, times_power_of_two, unit_exponent
 
 # Components below this fraction of a unit vector's norm are treated as zero
@@ -383,28 +378,29 @@ def decompose(
 
     Eigenvalues whose largest |Re| or |Im| lies outside [2**-500, 2**500)
     are classified, gap-checked and ordered at unit scale (times a power of
-    two), where moduli, midpoints and gaps cannot overflow; ``lam``,
-    ``min_gap`` and ``sym_shift`` are scaled back exactly. A refusal at unit
-    scale is raised from the same checks at the input's scale where they
-    refuse too, so its message quotes the input's figures.
+    two), so no modulus or gap overflows; ``lam``, ``min_gap`` and
+    ``sym_shift`` are scaled back exactly (inf past the float range). A
+    unit-scale refusal is raised from the input's scale when that refuses
+    with the same error class, so its message quotes the input's figures.
     """
     eig = eigendecompose(H) if eigenpairs is None else eigenpairs
-    k = unit_exponent(eig.values)
-    k = 0 if -500 < k <= 500 else k
+    k = unit_exponent(eig.values, keep=500)
     unit = RawEigenpairs(times_power_of_two(eig.values, -k), eig.right_vectors, eig.matrix)
     try:
         cls = classify_spectrum(unit.values, eps_real=tol.eps_real, eps_pair=tol.eps_pair)
         assert_nondegenerate(unit.values, gap_tol=tol.gap_tol)
-    except (ClassificationError, DegenerateSpectrumError):
+    except (ClassificationError, DegenerateSpectrumError) as exc:
         if k:
-            with np.errstate(all="ignore"):
-                classify_spectrum(eig.values, eps_real=tol.eps_real, eps_pair=tol.eps_pair)
-                assert_nondegenerate(eig.values, gap_tol=tol.gap_tol)
+            try:
+                with np.errstate(all="ignore"):
+                    classify_spectrum(eig.values, eps_real=tol.eps_real, eps_pair=tol.eps_pair)
+                    assert_nondegenerate(eig.values, gap_tol=tol.gap_tol)
+            except type(exc) as same:
+                raise same from None
+            except (ClassificationError, DegenerateSpectrumError):
+                pass
         raise
     sd = build_spectral_data(cls, unit, cond_cap=tol.cond_cap)
-    return replace(
-        sd,
-        lam=times_power_of_two(sd.lam, k),
-        min_gap=math.ldexp(sd.min_gap, k),
-        sym_shift=math.ldexp(sd.sym_shift, k),
-    )
+    with np.errstate(over="ignore"):
+        lam, gap, shift = times_power_of_two(sd.lam, k), np.ldexp(sd.min_gap, k), np.ldexp(sd.sym_shift, k)
+    return replace(sd, lam=lam, min_gap=float(gap), sym_shift=float(shift))

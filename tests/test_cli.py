@@ -1074,6 +1074,31 @@ def test_nonfinite_numbers_print_as_null(capsys, tmp_path):
         assert abs(z - want) <= 1e-15 * abs(want)
 
 
+_GAP_OVERFLOWS = {
+    # eigenvalues -1e308 and 1e308, then 1e308 +- 1e308i: a gap beyond the float range
+    "real": ('[[[-1e308,0],[0,0]],[[0,0],[1e308,0]]]', ["--mu", "1,-1"], ["--signs", "+,-"]),
+    "pair": ('[[[1e308,0],[1e308,0]],[[-1e308,0],[1e308,0]]]', ["--tau", "1+1i"],
+             ["--n", "1", "--theta", "0.5"]),
+}
+
+
+@pytest.mark.parametrize("command", ["analyze", "metric", "canonical", "enumerate", "oracle"])
+@pytest.mark.parametrize("case", list(_GAP_OVERFLOWS))
+def test_gap_beyond_float_range(capsys, tmp_path, case, command):
+    entries, mu_tau, signs = _GAP_OVERFLOWS[case]
+    path = tmp_path / "huge.json"
+    path.write_text(f'{{"schema":1,"n":2,"entries":{entries}}}')
+    flags = {"metric": mu_tau, "canonical": signs}.get(command, [])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, text, err = run(capsys, command, str(path), *flags, parse=False)
+    assert (code, err) == (0, "")
+    doc = _strict_loads(text)
+    if command == "analyze":
+        assert doc["min_gap"] is None
+        assert (doc["r"], doc["p"]) == ((2, 0) if case == "real" else (0, 1))
+
+
 @pytest.mark.parametrize("flag, value", [("--gap-tol", "nan"), ("--eps-real", "-1"), ("--eps-pair", "inf"), ("--gap-tol", "0")])
 def test_tolerance_flag_must_be_finite_positive(capsys, diag_file, flag, value):
     # the flags take the same finite-and-positive check as PHM_DEFAULT_TOL

@@ -216,22 +216,12 @@ def test_oracle_cap_applies_before_decomposition(capsys, monkeypatch, tmp_path):
     def fail(*args, **kwargs):
         raise AssertionError("decomposed an oversized matrix")
 
-    monkeypatch.setattr(cli, "eigendecompose", fail)
+    # oracle decomposes through spectral.decompose, which calls spectral's eigendecompose
+    monkeypatch.setattr(spectral, "eigendecompose", fail)
     path = write_matrix_json(tmp_path / "big.json", np.eye(33))
     assert cli.main(["oracle", path]) == 6
     doc = json.loads(capsys.readouterr().out)
     assert doc["error"]["message"] == "dense solve is capped at n <= 32, got n = 33"
-
-
-def test_oracle_cap_applies_before_eig(capsys, monkeypatch, tmp_path):
-    # oracle decomposes through spectral.decompose, which calls spectral's eigendecompose
-    def fail(*args, **kwargs):
-        raise AssertionError("decomposed an oversized matrix")
-
-    monkeypatch.setattr(spectral, "eigendecompose", fail)
-    path = write_matrix_json(tmp_path / "big.json", np.eye(33))
-    assert cli.main(["oracle", path]) == 6
-    assert json.loads(capsys.readouterr().out)["error"]["type"] == "EnumerationCapError"
 
 
 # ------------------------------------------- kernel against the full SVD

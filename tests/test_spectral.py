@@ -394,6 +394,25 @@ def test_decompose_matches_reference_on_crafted_spectra(values, tol):
     _assert_matches_reference(_crafted(values), tol)
 
 
+def test_decompose_keeps_the_unit_scale_error_class():
+    # at unit scale the lone complex value is an odd split; at the input's
+    # scale np.abs overflows, every value reads as real and the gap check
+    # would report a degeneracy of inf instead
+    eig = _crafted([1.3e308 + 1.3e308j, 1.0])
+    with np.errstate(all="ignore"), pytest.raises(ClassificationError, match="odd split"):
+        decompose(eig.matrix, eigenpairs=eig)
+
+
+@pytest.mark.parametrize("values", [[-1e308, 1e308], [1e308 + 1e308j, 1e308 - 1e308j]])
+def test_decompose_overflowing_gap_is_inf(values):
+    eig = _crafted(values, vectors=np.eye(2), matrix=np.diag(values))
+    with np.errstate(all="raise"):
+        sd = decompose(eig.matrix, eigenpairs=eig)
+    assert sd.min_gap == math.inf
+    assert sd.sym_shift == 0.0
+    assert sorted(sd.lam.tolist(), key=lambda z: z.imag) == sorted(values, key=lambda z: complex(z).imag)
+
+
 @pytest.mark.parametrize("lead", _SMALL_LEADS)
 def test_gauge_matches_reference_below_gauge_eps(lead):
     # column 0 is (lead, 1, 0, ...): unit norm exactly, so lead survives the

@@ -65,12 +65,10 @@ from .oracle import (
     solution_space,
 )
 from .spectral import (
-    AdmissibilityReport,
     SpectralData,
     SpectrumClassification,
     Tolerances,
     assert_nondegenerate,
-    check_ph_admissible,
     classify_spectrum,
     decompose,
     eigendecompose,
@@ -79,7 +77,6 @@ from .spectral import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdmissibilityReport",
     "CanonicalClass",
     "ClassificationError",
     "DegenerateSpectrumError",
@@ -109,7 +106,6 @@ __all__ = [
     "build_M",
     "build_m",
     "canonical_metric",
-    "check_ph_admissible",
     "classify_spectrum",
     "decompose",
     "eigendecompose",

@@ -408,9 +408,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     try:
         sd = decompose(H, tol=tol, eigenpairs=eig)
     except ClassificationError as exc:
-        # the polynomial figure is reported, not gated on
-        adm = check_ph_admissible(H, eigenpairs=eig)
-        _emit_error(exc, extra={"is_ph_admissible": False, "max_imag_coeff": adm.max_imag_coeff})
+        defect = check_ph_admissible(H, eigenpairs=eig)
+        _emit_error(exc, extra={"is_ph_admissible": False, "conjugation_defect": defect})
         return EXIT_CLASSIFY
     _emit(
         {
@@ -419,7 +418,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             "r": sd.r,
             "p": sd.p,
             "eigenvalues": _complex_pairs(sd.lam),
-            "min_gap": None if math.isinf(sd.min_gap) else sd.min_gap,
+            "min_gap": sd.min_gap,
             "cond_S": sd.cond_S,
             "is_ph_admissible": True,
             "inertia_floor": [sd.p, sd.p],
@@ -556,7 +555,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         "kernel_dimension": report.dimension,
         "expected_dimension": sd.n,
         "singular_value_tail": [float(s) for s in report.singular_values[: 2 * sd.n]],
-        "gap_ratio": None if math.isinf(report.gap_ratio) else report.gap_ratio,
+        "gap_ratio": report.gap_ratio,
         "warning": f"rank decision is ambiguous (gap ratio < {RANK_GAP_WARN:g})"
         if report.rank_ambiguous
         else None,

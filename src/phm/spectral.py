@@ -17,8 +17,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ClassificationError, DegenerateSpectrumError, IllConditionedError, NumericError
-from .matrices import as_square_matrix, lock, times_power_of_two, unit_exponent
+from .errors import ClassificationError, DegenerateSpectrumError, IllConditionedError, NumericError, PhmError
+from .matrices import as_square_matrix, lock, times_power_of_two, unit_exponent, unit_scaled
 
 # Components below this fraction of a unit vector's norm are treated as zero
 # when fixing the column phase gauge.
@@ -41,14 +41,6 @@ class Tolerances:
     eps_pair: float = DEFAULT_TOL
     gap_tol: float = DEFAULT_TOL
     cond_cap: float = 1e8
-
-
-@dataclass(frozen=True)
-class AdmissibilityReport:
-    """Result of the real-characteristic-polynomial check."""
-
-    is_ph: bool
-    max_imag_coeff: float
 
 
 @dataclass(frozen=True)
@@ -124,23 +116,19 @@ def _scale(values: np.ndarray) -> float:
     return s if s > 0.0 else 1.0
 
 
-def check_ph_admissible(
-    H, tol: float = DEFAULT_TOL, eigenpairs: RawEigenpairs | None = None
-) -> AdmissibilityReport:
-    """The characteristic polynomial's largest imaginary coefficient, relative.
+def check_ph_admissible(H, eigenpairs: RawEigenpairs | None = None) -> float:
+    """The conjugation defect of H's spectrum: max_i min_j |lam_j - conj lam_i| / max|lam|.
 
-    ``np.poly`` builds the coefficients from the eigenvalues; they are
-    ill-conditioned in them and overflow far inside the float range, so no
-    command gates on this: it only fills ``analyze``'s error document when
-    classification fails. ``eigenpairs``, if given, must be
-    ``eigendecompose(H)``; it saves diagonalizing H again.
+    0 when conjugation maps the spectrum onto itself; its distances are the
+    ones classification measures (2 |Im z| for a real, the miss for a pair).
+    ``analyze`` reports it when classification refuses; nothing gates on it.
+    It is taken at unit scale, so no distance overflows. ``eigenpairs``, if
+    given, must be ``eigendecompose(H)``; it saves diagonalizing H again.
     """
-    if eigenpairs is None:
-        eigenpairs = eigendecompose(H)
-    coeffs = np.poly(eigenpairs.values)  # monic, so max |coeff| >= 1
-    scale = float(np.max(np.abs(coeffs)))
-    max_imag = float(np.max(np.abs(coeffs.imag))) / scale
-    return AdmissibilityReport(is_ph=bool(max_imag <= tol), max_imag_coeff=max_imag)
+    eig = eigendecompose(H) if eigenpairs is None else eigenpairs
+    values = unit_scaled(eig.values)
+    dist = _conjugate_distances(values, np.arange(values.size))
+    return float(np.max(np.min(dist, axis=1))) / _scale(values)
 
 
 def eigendecompose(H) -> RawEigenpairs:
@@ -158,17 +146,22 @@ def classify_spectrum(
 ) -> SpectrumClassification:
     """Split eigenvalues into real singles and complex-conjugate pairs.
 
-    An eigenvalue with |Im| <= eps_real * scale counts as real. Each
-    remaining value with positive imaginary part is greedily matched to
-    the unmatched value closest to its conjugate (ties prefer the smaller
-    index); the match is accepted only within eps_pair * scale. Failure to
-    pair everything means the input is not pseudo-hermitian admissible at
-    these tolerances.
+    The reals are the fixed points of conjugation: z counts as real when
+    |Im z| <= eps_real * scale and no other eigenvalue lies closer to
+    conj z than z does (a tie counts as real). Each remaining value with
+    positive imaginary part is greedily matched to the unmatched value
+    closest to its conjugate (ties prefer the smaller index); the match is
+    accepted only within eps_pair * scale. Failure to pair everything
+    means the input is not pseudo-hermitian admissible at these tolerances.
     """
     values = np.asarray(values, dtype=np.complex128)
     if values.ndim != 1:
         raise ClassificationError(f"expected a 1-d value list, got shape {values.shape}")
     scale = _scale(values)
+    im = np.abs(values.imag)
+    near = np.flatnonzero(im <= eps_real * scale)
+    closer = _conjugate_distances(values, near) < 2 * im[near, np.newaxis]  # 2 |Im z| = |z - conj z|
+    fixed = set(near[~closer.any(axis=1)].tolist())
     # Python complex: the same IEEE arithmetic and hypot as numpy's scalars, at a
     # fraction of their per-element cost
     vals = values.tolist()
@@ -177,7 +170,7 @@ def classify_spectrum(
     pos: list[int] = []
     neg: list[int] = []
     for k, z in enumerate(vals):
-        if abs(z.imag) <= eps_real * scale:
+        if k in fixed:
             real_idx.append(k)
         elif z.imag > 0:
             pos.append(k)
@@ -213,6 +206,17 @@ def classify_spectrum(
 
     pairs.sort(key=pair_key)
     return SpectrumClassification(real_indices=tuple(real_idx), pair_indices=tuple(pairs))
+
+
+def _conjugate_distances(values: np.ndarray, rows) -> np.ndarray:
+    """|values[j] - conj values[i]|, a row per i in ``rows`` and a column per j.
+
+    ``np.hypot`` gives the bits of ``abs`` of a numpy complex scalar, and
+    inf past the float range.
+    """
+    with np.errstate(over="ignore"):
+        d = values[np.newaxis, :] - values[rows].conj()[:, np.newaxis]
+        return np.hypot(d.real, d.imag)
 
 
 def _modulus(z: complex) -> float:
@@ -308,18 +312,18 @@ def _fix_column_gauge(V: np.ndarray) -> None:
 def build_spectral_data(
     classification: SpectrumClassification,
     eigenpairs: RawEigenpairs,
-    cond_cap: float = Tolerances.cond_cap,
+    tol: Tolerances = Tolerances(),
 ) -> SpectralData:
-    """Order, symmetrize and gauge-fix the raw eigendecomposition.
+    """Order, symmetrize, gap-check and gauge-fix the raw eigendecomposition.
 
-    Eigenvector columns are permuted into the canonical order, each is
-    scaled to unit norm with its first nonzero component made real
-    positive (a deterministic choice of the per-eigenvector scaling
-    freedom), and S is the inverse of the resulting column matrix.
     Matched pairs are replaced by exact conjugates (z, z*) and real values
-    by their real parts; the size of that adjustment is reported as
-    ``sym_shift``, never applied silently. The result's ``matrix`` is
-    ``eigenpairs.matrix``.
+    by their real parts (``sym_shift`` reports how far, never applied
+    silently); :func:`assert_nondegenerate` judges that spectrum against
+    ``tol.gap_tol`` and gives ``min_gap``. Eigenvector columns are permuted
+    into the canonical order, each is scaled to unit norm with its first
+    nonzero component made real positive (a deterministic choice of the
+    per-eigenvector scaling freedom), and S is the inverse of the resulting
+    column matrix, refused past ``tol.cond_cap``. ``matrix`` is ``eigenpairs.matrix``.
     """
     n = eigenpairs.values.size
     if classification.r + 2 * classification.p != n:
@@ -337,22 +341,21 @@ def build_spectral_data(
         shift = max(shift, _modulus(vals[j_plus] - z), _modulus(vals[j_minus] - z.conjugate()))
         lam += (z, z.conjugate())
         perm += (j_plus, j_minus)
+    lam = np.array(lam, dtype=np.complex128)
+    min_gap = assert_nondegenerate(lam, gap_tol=tol.gap_tol)
 
     V = eigenpairs.right_vectors[:, perm]  # a copy
     _fix_column_gauge(V)
 
     cond = float(np.linalg.cond(V))
-    if not np.isfinite(cond) or cond > cond_cap:
+    if not np.isfinite(cond) or cond > tol.cond_cap:
         raise IllConditionedError(
-            f"diagonalizer condition number {cond:.3e} exceeds cap {cond_cap:.1e}"
+            f"diagonalizer condition number {cond:.3e} exceeds cap {tol.cond_cap:.1e}"
         )
     try:
         S = np.linalg.inv(V)
     except np.linalg.LinAlgError as exc:
         raise IllConditionedError(f"eigenvector matrix is singular: {exc}") from exc
-
-    lam = np.array(lam, dtype=np.complex128)
-    min_gap = assert_nondegenerate(lam, gap_tol=0.0)
     return SpectralData(
         matrix=eigenpairs.matrix,
         lam=lam,
@@ -368,13 +371,13 @@ def build_spectral_data(
 def decompose(
     H, tol: Tolerances = Tolerances(), eigenpairs: RawEigenpairs | None = None
 ) -> SpectralData:
-    """Full pipeline: eigendecompose, classify, reject degeneracy, order.
+    """Full pipeline: eigendecompose, classify, then :func:`build_spectral_data`.
 
     Raises :class:`ClassificationError`, :class:`DegenerateSpectrumError`
     or :class:`IllConditionedError` when the input falls outside the
-    supported class (non-admissible, degenerate, or numerically hopeless).
-    ``eigenpairs``, if given, must be ``eigendecompose(H)``; it saves
-    validating and diagonalizing H again.
+    supported class (non-admissible, degenerate, or numerically hopeless),
+    in that order of precedence. ``eigenpairs``, if given, must be
+    ``eigendecompose(H)``; it saves validating and diagonalizing H again.
 
     Eigenvalues whose largest |Re| or |Im| lies outside [2**-500, 2**500)
     are classified, gap-checked and ordered at unit scale (times a power of
@@ -386,21 +389,22 @@ def decompose(
     eig = eigendecompose(H) if eigenpairs is None else eigenpairs
     k = unit_exponent(eig.values, keep=500)
     unit = RawEigenpairs(times_power_of_two(eig.values, -k), eig.right_vectors, eig.matrix)
+
+    def build(e: RawEigenpairs) -> SpectralData:
+        return build_spectral_data(classify_spectrum(e.values, tol.eps_real, tol.eps_pair), e, tol)
+
     try:
-        cls = classify_spectrum(unit.values, eps_real=tol.eps_real, eps_pair=tol.eps_pair)
-        assert_nondegenerate(unit.values, gap_tol=tol.gap_tol)
+        sd = build(unit)
     except (ClassificationError, DegenerateSpectrumError) as exc:
         if k:
             try:
                 with np.errstate(all="ignore"):
-                    classify_spectrum(eig.values, eps_real=tol.eps_real, eps_pair=tol.eps_pair)
-                    assert_nondegenerate(eig.values, gap_tol=tol.gap_tol)
+                    build(eig)
             except type(exc) as same:
                 raise same from None
-            except (ClassificationError, DegenerateSpectrumError):
+            except PhmError:
                 pass
         raise
-    sd = build_spectral_data(cls, unit, cond_cap=tol.cond_cap)
     with np.errstate(over="ignore"):
         lam, gap, shift = times_power_of_two(sd.lam, k), np.ldexp(sd.min_gap, k), np.ldexp(sd.sym_shift, k)
     return replace(sd, lam=lam, min_gap=float(gap), sym_shift=float(shift))

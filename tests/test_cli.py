@@ -445,11 +445,14 @@ def test_analyze_diagonal(capsys, diag_file):
 
 
 def test_analyze_inadmissible(capsys, tmp_path):
-    path = write_matrix_json(tmp_path / "bad.json", np.diag([1.0j, 2.0]))
-    code, doc, _ = run(capsys, "analyze", path)
-    assert code == 2
-    assert doc["is_ph_admissible"] is False
-    assert doc["max_imag_coeff"] == pytest.approx(2.0 / math.sqrt(5.0))
+    # the value nearest conj(i) = -i is i itself, 2 away, and max|lam| is 2;
+    # the figure is taken at unit scale, so 2**600 changes nothing
+    for c in (1.0, 2.0**600):
+        path = write_matrix_json(tmp_path / "bad.json", c * np.diag([1.0j, 2.0]))
+        code, doc, _ = run(capsys, "analyze", path)
+        assert code == 2
+        assert doc["is_ph_admissible"] is False
+        assert doc["conjugation_defect"] == 1.0
 
 
 def test_analyze_degenerate(capsys, tmp_path):
@@ -952,6 +955,15 @@ def test_oracle_gate_failure_names_defects_on_stderr(capsys, monkeypatch, diag_f
     assert doc[field] == 3e-8
     assert err.startswith("verification failed: projection defect ")
     assert message in err and err.count("\n") == 1
+
+
+def test_oracle_single_entry_gap_ratio_null(capsys, tmp_path):
+    # the kernel is the whole 1-dimensional space: no singular value lies past
+    # the cut, so the gap ratio is inf
+    path = write_matrix_json(tmp_path / "one.json", np.array([[5.0]]))
+    code, text, _ = run(capsys, "oracle", path, parse=False)
+    assert code == 0
+    assert '"gap_ratio": null' in text
 
 
 def test_oracle_ambiguous_rank_warning(capsys, monkeypatch, diag_file):

@@ -12,16 +12,18 @@ Each relation maps a generated instance and its certificate (the metric
 built from all-ones parameters, inertia (r + p, p, 0)) and checks the
 mapped pair.
 
-Maps of H alone, c H + d I and H^-1, keep the shape of the spectrum: r real
-values and p conjugate pairs. So analyze's (r, p), inertia floor and class
-count, and enumerate's bytes, do not change under them. For c > 0 the map
-also keeps H's eigenvectors and the order of its eigenvalues, so metric and
-canonical build the same M from the same parameters, up to rounding.
+Maps of H alone, c H + d I, H^-1, conj H, U^dagger H U and H^dagger, keep
+the shape of the spectrum: r real values and p conjugate pairs. So analyze's
+(r, p), inertia floor and class count, and enumerate's bytes, do not change
+under them. For c > 0 the map c H + d I also keeps H's eigenvectors and the
+order of its eigenvalues, so metric and canonical build the same M from the
+same parameters, up to rounding.
 """
 
 import io
 import json
 import os
+import re
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -31,8 +33,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_instance, write_matrix_json
-from phm import GeneratorConfig, generate_via_spectrum, intertwining_residual, solution_space
+from phm import (
+    DegenerateSpectrumError,
+    GeneratorConfig,
+    decompose,
+    generate_via_spectrum,
+    intertwining_residual,
+    solution_space,
+)
 from phm.cli import main
+from phm.spectral import DEFAULT_TOL
 
 
 def _unitary_similarity(H, M, seed):
@@ -123,6 +133,10 @@ SPECTRUM_MAPS = {
     "2**500 H": (lambda H: 2.0**500 * H, True),
     "H + 1e3 max|H| I": (lambda H: H + 1e3 * np.abs(H).max() * np.eye(H.shape[0]), True),
     "H^-1": (np.linalg.inv, False),
+    "-H": (np.negative, False),
+    "conj H": (np.conj, False),
+    "U^dagger H U": (lambda H: _unitary_similarity(H, H, 0)[0], False),
+    "H^dagger": (lambda H: H.conj().T, False),
 }
 
 
@@ -193,3 +207,57 @@ def test_spectrum_map_keeps_the_answers(name, split, seed):
 )
 def test_spectrum_map_keeps_the_answers_on_large_instances(config, name):
     _check_spectrum_map(generate_via_spectrum(config).H, name)
+
+
+# Windows of pair |Im| around the default tolerances, 1e-8 of a scale near 1:
+# each pair lies inside eps_real, and its gap 2 |Im| falls on both sides of gap_tol.
+BOUNDARY_WINDOWS = [(2e-9, 5e-9), (5e-9, 1e-8), (1e-8, 1e-7)]
+
+
+def _split_or_gap(H):
+    """decompose's (r, p), or "gap" for a refusal that quotes a gap inside its tolerance."""
+    try:
+        sd = decompose(H)
+    except DegenerateSpectrumError as exc:
+        gap = float(re.search(r"separated by (\S+) <=", str(exc)).group(1))
+        # the message rounds the gap to 4 digits
+        assert gap <= DEFAULT_TOL * np.abs(np.linalg.eigvals(H)).max() * (1 + 5e-4), str(exc)
+        return "gap"
+    return sd.r, sd.p
+
+
+@pytest.mark.parametrize("window", BOUNDARY_WINDOWS, ids=lambda w: f"{w[0]:g}..{w[1]:g}")
+@settings(deadline=None, max_examples=50)
+@given(seed=st.integers(0, 10**6))
+def test_near_real_pairs_keep_their_split(window, seed):
+    config = GeneratorConfig(
+        n=8, r=4, p=2, seed=seed, eigenvalue_box=((-1.0, 1.0), window), min_gap_target=1e-9
+    )
+    H = generate_via_spectrum(config).H
+    split = _split_or_gap(H)
+    assert split in ((4, 2), "gap")
+    for name in ("2**40 H", "-H", "U^dagger H U", "conj H", "H^dagger"):
+        assert _split_or_gap(SPECTRUM_MAPS[name][0](H)) == split, name
+    # the shift triples the scale and with it the gap tolerance
+    assert _split_or_gap(H + 3.0 * np.eye(8)) in (split, "gap")
+
+
+def test_near_real_pairs_in_analyze():
+    # pairs 1.4e-8 and 1.2e-8 apart, inside eps_real but farther apart than
+    # gap_tol: each is a pair, not two equal reals
+    rng = np.random.default_rng(0)
+    Q = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))[0]
+    six = Q.conj().T @ np.diag([-0.7, 0.1, 0.5, 0.9, 0.3 + 7e-9j, 0.3 - 7e-9j]) @ Q
+    two = np.array([[1.0, 6e-9], [-6e-9, 1.0]])
+    with tempfile.TemporaryDirectory() as d:
+        paths = [write_matrix_json(os.path.join(d, f"{k}.json"), H) for k, H in enumerate((six, two))]
+        for path, split in zip(paths, ((4, 1), (0, 1))):
+            code, out, err = _run("analyze", path)
+            assert code == 0, err
+            doc = json.loads(out)
+            assert (doc["r"], doc["p"]) == split
+            assert doc["min_gap"] > DEFAULT_TOL * max(abs(complex(*z)) for z in doc["eigenvalues"])
+        # positive weights on the reals; the pair makes M indefinite
+        code, out, err = _run("metric", paths[0], "--mu=1,1,1,1", "--tau=1+0i")
+        assert code == 0, err
+        assert json.loads(out)["inertia"] == [5, 1, 0]

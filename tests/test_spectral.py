@@ -30,16 +30,16 @@ from phm.spectral import (
 
 
 def test_admissible_passes_conjugation_symmetric():
-    assert check_ph_admissible(ROT2).is_ph
-    assert check_ph_admissible(DIAG12).is_ph
+    # conjugation maps {i, -i} and {1, 2} onto themselves
+    assert check_ph_admissible(ROT2) <= 1e-15
+    assert check_ph_admissible(DIAG12) == 0.0
 
 
 def test_admissible_rejects_complex_coefficients():
-    # char poly of diag(i, 2) is z^2 - (2+i) z + 2i; coefficient scale is
-    # |2+i| = sqrt(5), largest imaginary part is 2.
-    rep = check_ph_admissible(np.diag([1.0j, 2.0]))
-    assert not rep.is_ph
-    assert rep.max_imag_coeff == pytest.approx(2.0 / math.sqrt(5.0), rel=1e-12)
+    # the value nearest conj(i) = -i is i itself, 2 away, and max|lam| is 2;
+    # the figure is scale-free, also where the distances overflow
+    for c in (1.0, 2.0**600, 2.0**-600):
+        assert check_ph_admissible(c * np.diag([1.0j, 2.0])) == 1.0
 
 
 def test_eigendecompose_residual_small():
@@ -214,7 +214,13 @@ def _ref_classify(values, eps_real=1e-8, eps_pair=1e-8):
     s = float(np.max(np.abs(values))) if values.size else 0.0
     scale = s if s > 0.0 else 1.0
 
-    real_idx = [k for k in range(values.size) if abs(values[k].imag) <= eps_real * scale]
+    # real: within eps_real of the axis, and no other value nearer its conjugate
+    real_idx = [
+        k for k in range(values.size)
+        if abs(values[k].imag) <= eps_real * scale
+        and not any(abs(values[j] - values[k].conjugate()) < abs(values[k] - values[k].conjugate())
+                    for j in range(values.size) if j != k)
+    ]
     real_set = set(real_idx)
     pos = [k for k in range(values.size) if k not in real_set and values[k].imag > 0]
     neg = [k for k in range(values.size) if k not in real_set and values[k].imag < 0]
@@ -250,7 +256,7 @@ def _ref_classify(values, eps_real=1e-8, eps_pair=1e-8):
     return SpectrumClassification(tuple(real_idx), tuple(pairs))
 
 
-def _ref_build(classification, eigenpairs, cond_cap=1e8):
+def _ref_build(classification, eigenpairs, tol=Tolerances()):
     values = eigenpairs.values
     n = values.size
     if classification.r + 2 * classification.p != n:
@@ -274,21 +280,21 @@ def _ref_build(classification, eigenpairs, cond_cap=1e8):
         lam[pos + 1] = z.conjugate()
         perm.extend((j_plus, j_minus))
         pos += 2
+    min_gap = assert_nondegenerate(lam, gap_tol=tol.gap_tol)
 
     V = eigenpairs.right_vectors[:, perm].copy()
     for c in range(n):
         V[:, c] = _ref_fix_column_gauge(V[:, c])
 
     cond = float(np.linalg.cond(V))
-    if not np.isfinite(cond) or cond > cond_cap:
+    if not np.isfinite(cond) or cond > tol.cond_cap:
         raise IllConditionedError(
-            f"diagonalizer condition number {cond:.3e} exceeds cap {cond_cap:.1e}"
+            f"diagonalizer condition number {cond:.3e} exceeds cap {tol.cond_cap:.1e}"
         )
     try:
         S = np.linalg.inv(V)
     except np.linalg.LinAlgError as exc:
         raise IllConditionedError(f"eigenvector matrix is singular: {exc}") from exc
-    min_gap = assert_nondegenerate(lam, gap_tol=0.0)
     return SpectralData(eigenpairs.matrix, lam, S, classification.r, classification.p,
                         min_gap, cond, shift)
 
@@ -296,8 +302,7 @@ def _ref_build(classification, eigenpairs, cond_cap=1e8):
 def _ref_decompose(H, tol=Tolerances(), eigenpairs=None):
     eig = eigendecompose(H) if eigenpairs is None else eigenpairs
     cls = _ref_classify(eig.values, eps_real=tol.eps_real, eps_pair=tol.eps_pair)
-    assert_nondegenerate(eig.values, gap_tol=tol.gap_tol)
-    return _ref_build(cls, eig, cond_cap=tol.cond_cap)
+    return _ref_build(cls, eig, tol)
 
 
 def _bits(x) -> bytes:
@@ -388,6 +393,11 @@ _EXACT_EDGE = 2.0**-19  # eps_real * scale below, held exactly
         ([1 + 1j, 2 + 1j, 1 - 1j, complex(np.nan, -1)], Tolerances(eps_pair=1.0)),
         # a distance whose modulus overflows, though both parts are finite
         ([complex(-0.85e308, 0.75e308), complex(0.85e308, -0.05e308)], Tolerances()),
+        # |Im| inside eps_real * scale: a pair when each value is nearest the
+        # other's conjugate, real at a tie with |z - conj z|, not one unit closer
+        ([2.0, complex(1, 2.0**-26), complex(1, -(2.0**-26))], Tolerances()),
+        ([2.0, complex(1, 2.0**-26), complex(1 + 2.0**-25, -(2.0**-26))], Tolerances()),
+        ([2.0, complex(1, 2.0**-26), complex(1 + 2.0**-25 - 2.0**-52, -(2.0**-26))], Tolerances()),
     ],
 )
 def test_decompose_matches_reference_on_crafted_spectra(values, tol):

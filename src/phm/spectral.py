@@ -208,7 +208,7 @@ def classify_spectrum(
     return SpectrumClassification(real_indices=tuple(real_idx), pair_indices=tuple(pairs))
 
 
-def _conjugate_distances(values: np.ndarray, rows) -> np.ndarray:
+def _conjugate_distances(values: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """|values[j] - conj values[i]|, a row per i in ``rows`` and a column per j.
 
     ``np.hypot`` gives the bits of ``abs`` of a numpy complex scalar, and

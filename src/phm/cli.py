@@ -33,9 +33,12 @@ stdout is always strict JSON: a number that is NaN or infinite (say, a
 figure that overflowed on entries near 1e308) is written as null. The
 exit code is the one the command gives anyway. Every document, usage
 errors and written matrix files included, has the same layout. Matrix rows
-and enumerate's classes are made and written a row or a block at a time, so
-memory does not grow with them; every other value is encoded before the first
-byte. One finiteness check picks a matrix's encoder, so no row fails partway.
+and enumerate's classes are made and written a row or a block at a time;
+every other value is encoded before the first byte. One finiteness check
+picks a matrix's encoder, so no row fails partway. A matrix whose entries off
+the diagonal are bitwise their mirrors' conjugates (every metric phm builds)
+is formatted from its upper triangle: its writer holds up to n^2/4 mirrored
+cell texts, under twice the matrix's own 16 n^2 bytes. Any other holds a row.
 
 main builds the parser of the named subcommand only; any other argv (none,
 -h, an unknown command) gets all seven, so help and usage errors read the same.
@@ -211,12 +214,37 @@ def _complex_pairs(values) -> list:
     return np.stack([z.real, z.imag], -1).tolist()
 
 
+def _mirrors_conjugate(cells: np.ndarray) -> bool:
+    """Whether each entry below the diagonal of finite ``cells`` has the bits
+    of its mirror's conjugate. Bytes, not values, are compared: -0.0 == 0.0."""
+    conj_t = cells.transpose(1, 0, 2) * (1.0, -1.0)  # -x flips the sign bit alone, zeros included
+    return all(conj_t[i, :i].tobytes() == cells[i, :i].tobytes() for i in range(len(cells)))
+
+
+def _hermitian_rows(cells: np.ndarray):
+    """The row texts of finite ``cells`` that mirror their conjugates. Each float
+    on and above the diagonal is formatted once (``repr``, as the JSON encoder
+    does); cell (j, i) reuses cell (i, j)'s texts, the imaginary sign toggled."""
+    lower = [[] for _ in cells]  # lower[j]: row j's texts left of its diagonal
+    for i, row in enumerate(cells):
+        floats = list(map(repr, row[i:].ravel().tolist()))
+        real, imag = floats[0::2], floats[1::2]
+        mirrored = [f"[{r}, {m[1:]}]" if m[0] == "-" else f"[{r}, -{m}]" for r, m in zip(real[1:], imag[1:])]
+        list(map(list.append, lower[i + 1 :], mirrored))
+        texts, lower[i] = lower[i], None  # held only until its row is written
+        texts += [f"[{r}, {m}]" for r, m in zip(real, imag)]
+        yield "[" + ", ".join(texts) + "]"
+
+
 def _matrix_doc(M: np.ndarray) -> dict:
     """The matrix-file document of ``M``; a row is encoded only as it is written."""
     M = np.ascontiguousarray(M, dtype=np.complex128)
     cells = M.view(np.float64).reshape(M.shape + (2,))  # [re, im] per entry, no copy
-    encode = _STRICT.encode if np.isfinite(cells).all() else _encode_nulls
-    rows = map(encode, map(np.ndarray.tolist, cells))
+    finite = np.isfinite(cells).all()
+    if finite and _mirrors_conjugate(cells):
+        rows = _hermitian_rows(cells)
+    else:
+        rows = map(_STRICT.encode if finite else _encode_nulls, map(np.ndarray.tolist, cells))
     return {"schema": 1, "n": int(M.shape[0]), "entries": _Lines(rows, "   ")}
 
 
@@ -479,6 +507,8 @@ def _parse_letters(raw: str | None, tokens: dict, what: str) -> tuple[int, ...]:
 
 
 def _reduce_angle(t: float) -> float:
+    if not math.isfinite(t):  # a literal beyond the float range, say 1e400
+        raise ParameterError(f"--theta entries must be finite, got {t}")
     red = t % TWO_PI
     return 0.0 if red >= TWO_PI else red  # t slightly below 0 can round onto 2*pi
 

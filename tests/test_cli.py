@@ -21,6 +21,7 @@ from conftest import DIAG12, ROT2, make_instance, write_matrix_json
 from phm.cli import (
     _Lines,
     _matrix_doc,
+    _mirrors_conjugate,
     _write_doc,
     _write_matrix_file,
     build_parser,
@@ -31,7 +32,7 @@ from phm.cli import (
 )
 from phm.errors import FileFormatError, NonHermitianError, ParameterError
 from phm.generators import generate_via_observable
-from phm.matrices import HERMITICITY_TOL, SIGMA_X, SIGMA_Z, hermiticity_defect, require_hermitian
+from phm.matrices import HERMITICITY_TOL, SIGMA_X, SIGMA_Z, hermiticity_defect, hermitize, require_hermitian
 from phm.metrics import inertia_of_matrix, intertwining_residual, is_global_representative
 
 
@@ -229,16 +230,88 @@ def test_matrix_file_bytes_nonfinite_as_null(tmp_path):
     assert _strict_json(text)["entries"][1][0] == [None, None]
 
 
+def _with_conjugate_lower(M):
+    """``M`` with each entry below the diagonal replaced by its mirror's
+    conjugate, bit for bit: a -0.0 imaginary part mirrors as 0.0."""
+    lower = np.tril_indices(len(M), -1)
+    M[lower] = M.T[lower].conj()
+    return M
+
+
+def _cells(M):
+    return np.ascontiguousarray(M, dtype=np.complex128).view(np.float64).reshape(M.shape + (2,))
+
+
+@settings(deadline=None, max_examples=50)
+@given(data=st.data(), n=st.integers(1, 8))
+def test_hermitian_matrix_file_bytes_match_reference_template(tmp_path_factory, data, n):
+    parts = data.draw(st.lists(_cell_floats, min_size=2 * n * n, max_size=2 * n * n))
+    M = _with_conjugate_lower(np.array(parts, dtype=np.float64).view(np.complex128).reshape(n, n))
+    assert _mirrors_conjugate(_cells(M))
+    path = tmp_path_factory.mktemp("io") / "m.json"
+    _write_matrix_file(str(path), M)
+    assert path.read_text(encoding="utf-8") == _reference_matrix_file(M)
+
+
+def _one_ulp_off(M):
+    M[2, 0] = complex(np.nextafter(M[2, 0].real, np.inf), M[2, 0].imag)
+    return M
+
+
+_MIXED = np.array([[1, 2, 1 + 1j], [2, 3, 4 - 2j], [1 - 1j, 4 + 2j, 5]])
+
+
+@pytest.mark.parametrize(
+    "M, mirrors",
+    [
+        (np.array([[1.0, 2.0], [2.0, 3.0]]), False),  # imaginary parts +0.0 on both sides
+        (_MIXED, False),  # one pair with +0.0 imaginary parts on both sides
+        (_with_conjugate_lower(_MIXED.copy()), True),  # the same pair as 0.0 above, -0.0 below
+        (np.array([[complex(1, -0.0), 2 + 1j], [2 - 1j, complex(3, -0.0)]]), True),
+        (np.array([[complex(2.5, -0.0)]]), True),
+        (np.array([[7 - 3j]]), True),
+        (_one_ulp_off(_with_conjugate_lower(_MIXED.copy())), False),
+        (np.array([[1, complex(np.inf, 1)], [complex(np.inf, -1), 2]]), None),
+        (np.array([[complex(1, np.nan), 2 - 1j], [2 + 1j, 3]]), None),
+    ],
+    ids=["real-symmetric", "zero-pair", "signed-zero-pair", "negative-zero-diagonal", "1x1-negative-zero",
+         "1x1", "one-ulp-off", "infinite", "nan-diagonal"],
+)
+def test_hermitian_path_edge_cases_match_reference_template(tmp_path, M, mirrors):
+    """The mirror path is taken exactly when the lower triangle is bitwise the
+    upper one conjugated (``mirrors``; None: not finite, written as nulls), and
+    every path writes the reference bytes."""
+    if mirrors is not None:
+        assert _mirrors_conjugate(_cells(M)) is mirrors
+    path = tmp_path / "m.json"
+    _write_matrix_file(str(path), M)
+    assert path.read_text(encoding="utf-8") == _reference_matrix_file(M)
+
+
+def _writer_peak(path, M) -> int:
+    """The traced peak of writing ``M`` as a matrix file, in bytes."""
+    tracemalloc.start()
+    try:
+        _write_matrix_file(str(path), M)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_matrix_file_writer_memory_stays_near_the_matrix(tmp_path):
     rng = np.random.default_rng(7)
     M = rng.standard_normal((256, 256)) + 1j * rng.standard_normal((256, 256))
-    tracemalloc.start()
-    try:
-        _write_matrix_file(str(tmp_path / "m.json"), M)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2 * M.nbytes
+    assert _writer_peak(tmp_path / "m.json", M) <= 2 * M.nbytes
+
+
+@pytest.mark.parametrize("n", [256, 512])
+def test_hermitian_matrix_file_writer_memory_stays_near_the_matrix(tmp_path, n):
+    """The texts mirrored below the diagonal, held until their rows go out,
+    stay within the bound the row-by-row writer keeps."""
+    rng = np.random.default_rng(7)
+    M = hermitize(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    assert _mirrors_conjugate(_cells(M))
+    assert _writer_peak(tmp_path / "m.json", M) <= 2 * M.nbytes
 
 
 def _joined_doc(doc) -> str:
@@ -548,6 +621,13 @@ def test_canonical_bad_letter_exits_5(capsys, diag_file, flags, message):
     assert code == 5
     assert doc["error"] == {"type": "ParameterError", "message": message}
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("theta", ["1e400", "-1e400"])
+def test_canonical_rejects_nonfinite_theta(capsys, rot_file, theta):
+    code, doc, _ = run(capsys, "canonical", rot_file, "--n", "0", f"--theta={theta}")
+    assert code == 5
+    assert doc["error"]["message"] == f"--theta entries must be finite, got {float(theta)}"
 
 
 def test_canonical_reduces_theta_mod_2pi(capsys, rot_file):

@@ -12,7 +12,7 @@ exits with a documented code:
     3  degenerate spectrum
     4  numerical failure (ill-conditioned diagonalizer, solver breakdown:
        numpy LinAlgError or MemoryError)
-    5  bad parameters (wrong counts, zero or near-zero values, ...)
+    5  bad parameters (wrong counts, zeros, an M verify would call singular)
     6  enumeration or dense-solve size cap exceeded
     7  generation rejection budget exhausted
     8  verification gate failed (residual, hermiticity, singular metric in
@@ -99,7 +99,6 @@ EXIT_GATE = 8
 EXIT_STDOUT_CLOSED = 9
 
 RESIDUAL_GATE = 1e-9
-MIN_PARAM_MAGNITUDE = 1e-6
 
 _EXIT_FOR_ERROR: list[tuple[type, int]] = [
     (FileFormatError, EXIT_INPUT),
@@ -420,15 +419,6 @@ def _tolerances(args: argparse.Namespace) -> Tolerances:
     return Tolerances(eps_real=pick("eps_real"), eps_pair=pick("eps_pair"), gap_tol=pick("gap_tol"))
 
 
-def _check_magnitudes(values, what: str) -> None:
-    small = [abs(v) for v in values if abs(v) < MIN_PARAM_MAGNITUDE]
-    if small:
-        raise ParameterError(
-            f"every {what} must have magnitude >= {MIN_PARAM_MAGNITUDE:g}; "
-            f"smallest given is {min(small):.3e}"
-        )
-
-
 def cmd_analyze(args: argparse.Namespace) -> int:
     H = read_matrix_file(args.path)
     tol = _tolerances(args)
@@ -488,8 +478,6 @@ def cmd_metric(args: argparse.Namespace) -> int:
             f"expected {sd.r} --mu value(s) and {sd.p} --tau value(s) for this "
             f"spectrum, got {len(mu)} and {len(tau)}"
         )
-    _check_magnitudes(mu, "--mu entry")
-    _check_magnitudes(tau, "--tau entry")
     result = build_M(sd, MetricParameters(mu=np.array(mu), tau=np.array(tau)))
     return _emit_metric_result(result.M, result.inertia, result.residual)
 

@@ -60,8 +60,8 @@ NULL_EIGENVALUE_TOL = 1e-10  # inertia_of_matrix's null cut, relative to max |ei
 class MetricParameters:
     """Free parameters of the metric family: r reals and p complex numbers.
 
-    All entries must be nonzero, otherwise the resulting metric would be
-    singular; non-invertible boundary metrics are out of scope.
+    All entries must be nonzero; singular metrics are out of scope, so
+    :func:`build_M` also refuses an M that verify would call singular.
     """
 
     mu: np.ndarray
@@ -189,9 +189,9 @@ def intertwining_residual(H, M, check_hermitian: bool = True) -> float:
 def build_M(sd: SpectralData, params: MetricParameters) -> MetricResult:
     """Map family parameters to a metric for sd's matrix: M = S^dagger m S.
 
-    The result is hermitian-symmetrized; its inertia follows from the
-    parameter signs alone and its intertwining residual is computed
-    against the matrix the decomposition was built from.
+    The result is hermitian-symmetrized. Its inertia is verify's, measured
+    on M at unit scale, and an M with a null eigenvalue raises ParameterError.
+    The residual is taken against the matrix the decomposition was built from.
     """
     if (params.r, params.p) != (sd.r, sd.p):
         raise ParameterError(
@@ -207,9 +207,17 @@ def build_M(sd: SpectralData, params: MetricParameters) -> MetricResult:
         raise ParameterError(
             f"M = S^dagger m S overflows at max |mu| = {mu:.3e}, max |tau| = {tau:.3e}"
         )
-    ip, im = inertia_of_params(params, sd.p)
-    res = intertwining_residual(sd.matrix, M, check_hermitian=False)  # hermitian by construction
-    return MetricResult(M=M, inertia=(ip, im, 0), residual=res)
+    unit = unit_scaled(M)  # as verify reads it back; hermitian by construction
+    inertia = inertia_of_matrix(unit, check_hermitian=False)
+    if inertia[2]:
+        w = np.abs(np.linalg.eigvalsh(unit))
+        ratio = w.min() / w.max() if w.max() > 0.0 else 0.0  # parameters whose M underflows to 0
+        raise ParameterError(
+            f"M = S^dagger m S is singular: smallest / largest |eigenvalue| = {ratio:.3e} "
+            f"<= null cut {NULL_EIGENVALUE_TOL:g}"
+        )
+    res = intertwining_residual(sd.matrix, M, check_hermitian=False)
+    return MetricResult(M=M, inertia=inertia, residual=res)
 
 
 def _phase_rotation(theta: float) -> np.ndarray:

@@ -388,7 +388,7 @@ def decompose(
     """
     eig = eigendecompose(H) if eigenpairs is None else eigenpairs
     k = unit_exponent(eig.values, keep=500)
-    unit = RawEigenpairs(times_power_of_two(eig.values, -k), eig.right_vectors, eig.matrix)
+    unit = RawEigenpairs(times_power_of_two(eig.values, -k), eig.right_vectors, eig.matrix) if k else eig
 
     def build(e: RawEigenpairs) -> SpectralData:
         return build_spectral_data(classify_spectrum(e.values, tol.eps_real, tol.eps_pair), e, tol)
@@ -405,6 +405,8 @@ def decompose(
             except PhmError:
                 pass
         raise
+    if not k:
+        return sd
     with np.errstate(over="ignore"):
         lam, gap, shift = times_power_of_two(sd.lam, k), np.ldexp(sd.min_gap, k), np.ldexp(sd.sym_shift, k)
     return replace(sd, lam=lam, min_gap=float(gap), sym_shift=float(shift))

@@ -577,9 +577,19 @@ def test_metric_count_mismatch(capsys, diag_file):
     assert "expected 2" in doc["error"]["message"]
 
 
-def test_metric_rejects_tiny_parameter(capsys, diag_file):
-    code, doc, _ = run(capsys, "metric", diag_file, "--mu", "1,1e-9")
+def test_metric_rejects_tiny_parameter(capsys, tmp_path, diag_file):
+    # M = diag(1, 1e-11): its eigenvalue ratio is under verify's null cut
+    code, doc, _ = run(capsys, "metric", diag_file, "--mu", "1,1e-11")
     assert code == 5
+    assert "= 1.000e-11 <= null cut 1e-10" in doc["error"]["message"]
+    # M = diag(1, 1e-9) is above the cut, however small its entry: verify accepts it
+    code, doc, _ = run(capsys, "metric", diag_file, "--mu", "1,1e-9")
+    assert code == 0
+    metric = tmp_path / "m.json"
+    metric.write_text(json.dumps(doc["M"]))
+    code, verdict, _ = run(capsys, "verify", diag_file, str(metric))
+    assert code == 0
+    assert verdict["inertia"] == doc["inertia"] == [2, 0, 0]
     code, _, _ = run(capsys, "metric", diag_file, "--mu", "1,-3")
     assert code == 0
 

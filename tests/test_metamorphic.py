@@ -10,7 +10,9 @@ need no reference output:
 
 Each relation maps a generated instance and its certificate (the metric
 built from all-ones parameters, inertia (r + p, p, 0)) and checks the
-mapped pair.
+mapped pair. The family is linear in its parameters, so metric with
+c (mu, tau) prints c M, with the same inertia for c > 0 and the inertia
+swapped for c < 0, at any magnitude of c short of overflow and underflow.
 
 Maps of H alone, c H + d I, H^-1, conj H, U^dagger H U and H^dagger, keep
 the shape of the spectrum: r real values and p conjugate pairs. So analyze's
@@ -18,10 +20,15 @@ the shape of the spectrum: r real values and p conjugate pairs. So analyze's
 under them. For c > 0 the map c H + d I also keeps H's eigenvectors and the
 order of its eigenvalues, so metric and canonical build the same M from the
 same parameters, up to rounding.
+
+The commands share one verdict on a metric: when analyze accepts H, metric
+and canonical either refuse (exit 5) or print an M that verify accepts,
+with the inertia they printed.
 """
 
 import io
 import json
+import math
 import os
 import re
 import tempfile
@@ -36,12 +43,14 @@ from conftest import make_instance, write_matrix_json
 from phm import (
     DegenerateSpectrumError,
     GeneratorConfig,
+    MetricParameters,
     decompose,
     generate_via_spectrum,
     intertwining_residual,
     solution_space,
 )
 from phm.cli import main
+from phm.metrics import build_m
 from phm.spectral import DEFAULT_TOL
 
 
@@ -209,6 +218,55 @@ def test_spectrum_map_keeps_the_answers_on_large_instances(config, name):
     _check_spectrum_map(generate_via_spectrum(config).H, name)
 
 
+def _literal(z: complex) -> str:
+    """The a+bi text of z; repr gives back every float exactly."""
+    im = repr(z.imag)
+    return f"{z.real!r}{im if im.startswith('-') else '+' + im}i"
+
+
+def _metric_literals(mu, tau) -> list[str]:
+    return ["--mu=" + ",".join(map(repr, mu)), "--tau=" + ",".join(map(_literal, tau))]
+
+
+# CI's smoke instance and a large one with pairs only
+SCALED_INSTANCES = [
+    GeneratorConfig(n=6, r=2, p=2, seed=1),
+    GeneratorConfig(n=128, r=0, p=64, seed=2000, min_gap_target=1e-4),
+]
+
+
+@pytest.mark.parametrize("config", SCALED_INSTANCES, ids=lambda c: f"n={c.n}")
+def test_scaled_parameters_scale_the_metric(config):
+    H = generate_via_spectrum(config).H
+    n, r, p = config.n, config.r, config.p
+    mu = [1 + i / 4 for i in range(r)]  # all positive, so negation moves the inertia
+    tau = [complex(1 + i / 8, -0.5 + i / 4) for i in range(p)]
+    # Each side computes S^dagger m S within about (n + 4) eps |S^dagger| |m| |S|
+    # entrywise, the bound of a product of matrices in complex arithmetic (Higham,
+    # Accuracy and Stability of Numerical Algorithms, 3.5). Rounding c (mu, tau)
+    # and c M adds eps each, so the two sides differ by at most twice that.
+    S = np.abs(decompose(H).S)
+    tol = 2 * (n + 4) * np.finfo(float).eps * (S.T @ np.abs(build_m(MetricParameters(mu, tau))) @ S)
+    with tempfile.TemporaryDirectory() as d:
+        path = write_matrix_json(os.path.join(d, "h.json"), H)
+
+        def metric(c):
+            code, out, err = _run("metric", path, *_metric_literals([c * x for x in mu], [c * z for z in tau]))
+            assert code == 0, f"c = {c:g}: {err}"
+            return _M(out), json.loads(out)
+
+        M, doc = metric(1.0)
+        pos, neg, null = doc["inertia"]
+        for c in (2.0**-40, 1e-7, 2.0**40, -1.0, -1e-7):
+            Mc, doc_c = metric(c)
+            assert doc_c["inertia"] == ([pos, neg, null] if c > 0 else [neg, pos, null]), c
+            if math.frexp(c)[0] in (0.5, -0.5):  # c = +-2**k scales every float exactly
+                assert np.array_equal(Mc, c * M), c
+                assert doc_c["residual"] == doc["residual"], c
+            else:
+                assert np.all(np.abs(Mc - c * M) <= abs(c) * tol), c
+
+
 # Windows of pair |Im| around the default tolerances, 1e-8 of a scale near 1:
 # each pair lies inside eps_real, and its gap 2 |Im| falls on both sides of gap_tol.
 BOUNDARY_WINDOWS = [(2e-9, 5e-9), (5e-9, 1e-8), (1e-8, 1e-7)]
@@ -261,3 +319,79 @@ def test_near_real_pairs_in_analyze():
         code, out, err = _run("metric", paths[0], "--mu=1,1,1,1", "--tau=1+0i")
         assert code == 0, err
         assert json.loads(out)["inertia"] == [5, 1, 0]
+
+
+def _spread_arguments(r, p, seed):
+    """metric calls with magnitudes over 1e-6 ... 1e4, evenly and at random,
+    with mixed signs and phases, and a canonical call."""
+    rng = np.random.default_rng(seed)
+    k = r + p
+    calls = []
+    for mags in (np.geomspace(1e-6, 1e4, k), 10.0 ** rng.uniform(-6, 4, k), 10.0 ** rng.uniform(-6, 4, k)):
+        mu = mags[:r] * rng.choice((-1.0, 1.0), r)
+        tau = mags[r:] * np.exp(2j * np.pi * rng.uniform(size=p))
+        calls.append(["metric", *_metric_literals(mu.tolist(), tau.tolist())])
+    signs, bits = ",".join(rng.choice(("+", "-"), r)), ",".join(rng.choice(("0", "1"), p))
+    theta = ",".join(map(repr, rng.uniform(0.0, 2 * np.pi, p).tolist()))
+    calls.append(["canonical", f"--signs={signs}", f"--n={bits}", f"--theta={theta}"])
+    return calls
+
+
+def _check_one_verdict(H, seed):
+    """Exit codes of metric and canonical on H, each 0 or 5, with every printed
+    M accepted by verify at the printed inertia; none if analyze refuses H."""
+    codes = []
+    with tempfile.TemporaryDirectory() as d:
+        path, metric = write_matrix_json(os.path.join(d, "h.json"), H), os.path.join(d, "m.json")
+        code, out, _ = _run("analyze", path)
+        if code:
+            return codes
+        doc = json.loads(out)
+        for command, *args in _spread_arguments(doc["r"], doc["p"], seed):
+            code, out, err = _run(command, path, *args)
+            assert code in (0, 5), err
+            codes.append(code)
+            if code == 0:
+                printed = json.loads(out)
+                with open(metric, "w", encoding="utf-8") as fh:
+                    json.dump(printed["M"], fh)
+                code, out, err = _run("verify", path, metric)
+                assert code == 0, err
+                assert json.loads(out)["inertia"] == printed["inertia"]
+    return codes
+
+
+def test_one_verdict_on_every_small_split():
+    codes = []
+    for n, r, p in _SPLITS_UP_TO_12:
+        if n <= 10:
+            codes += _check_one_verdict(make_instance(n, r, p, seed=1).H, seed=n)
+    assert set(codes) == {0, 5}  # both verdicts are reached
+
+
+def test_one_verdict_on_a_large_instance():
+    config = GeneratorConfig(n=128, r=0, p=64, seed=2000, min_gap_target=1e-4)
+    assert _check_one_verdict(generate_via_spectrum(config).H, seed=128)
+
+
+@pytest.mark.parametrize("window", BOUNDARY_WINDOWS, ids=lambda w: f"{w[0]:g}..{w[1]:g}")
+@settings(deadline=None, max_examples=10)
+@given(seed=st.integers(0, 10**6))
+def test_one_verdict_on_near_real_pairs(window, seed):
+    config = GeneratorConfig(
+        n=8, r=4, p=2, seed=seed, eigenvalue_box=((-1.0, 1.0), window), min_gap_target=1e-9
+    )
+    _check_one_verdict(generate_via_spectrum(config).H, seed)
+
+
+def test_metric_refuses_what_verify_calls_singular():
+    # M's smallest |eigenvalue| is 2.3e-12 of its largest, under verify's null
+    # cut: verify reads inertia [3, 2, 1] where the parameter signs give [4, 2, 0]
+    with tempfile.TemporaryDirectory() as d:
+        path = write_matrix_json(os.path.join(d, "h.json"), generate_via_spectrum(SCALED_INSTANCES[0]).H)
+        code, out, _ = _run("metric", path, "--mu=1e-6,1e4", "--tau=1+0i,1+0i")
+    assert code == 5
+    error = json.loads(out)["error"]
+    assert error["type"] == "ParameterError"
+    ratio = re.search(r"smallest / largest \|eigenvalue\| = (\S+) <= null cut 1e-10$", error["message"])
+    assert ratio and float(ratio.group(1)) <= 1e-10

@@ -203,6 +203,15 @@ def test_build_M_count_mismatch():
         build_M(inst.sd, MetricParameters(mu=[1.0], tau=[1.0]))
 
 
+def test_build_M_refuses_a_metric_that_underflows_to_zero():
+    # H = F^dagger D F with F the unitary DFT: every |S_ij| is 8**-0.5, so each
+    # product with the least subnormal rounds to 0 and M is the zero matrix
+    F = np.fft.fft(np.eye(8)) / np.sqrt(8)
+    sd = decompose(F.conj().T @ np.diag(np.arange(1.0, 9.0)) @ F)
+    with pytest.raises(ParameterError, match=r"= 0\.000e\+00 <= null cut 1e-10"):
+        build_M(sd, MetricParameters(mu=[5e-324] * 8, tau=[]))
+
+
 # ------------------------------------------------------- canonical form
 
 

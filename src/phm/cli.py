@@ -12,11 +12,13 @@ exits with a documented code:
     3  degenerate spectrum
     4  numerical failure (ill-conditioned diagonalizer, solver breakdown:
        numpy LinAlgError or MemoryError)
-    5  bad parameters (wrong counts, zeros, an M verify would call singular)
+    5  bad parameters (wrong counts, zeros, finite parameters whose
+       S^dagger m S overflows, an M verify would call singular)
     6  enumeration or dense-solve size cap exceeded
     7  generation rejection budget exhausted
     8  verification gate failed (residual, hermiticity, singular metric in
-       verify, kernel match)
+       verify, kernel match); parameters so small that S^dagger m S falls
+       into subnormals fail metric's residual gate, as verify fails that M
     9  stdout closed before the whole document was written (say, piped
        into head)
 
@@ -150,7 +152,7 @@ class _Lines:
         self.texts, self.pad = texts, pad
 
 
-def _pieces(value, depth: int, encode, out: list) -> None:
+def _pieces(value, depth: int, out: list) -> None:
     """Append the JSON text of ``value`` to ``out``, in pieces joined once;
     a ``_Lines`` goes in as itself, between its brackets."""
     if isinstance(value, _Lines):
@@ -162,26 +164,22 @@ def _pieces(value, depth: int, encode, out: list) -> None:
         out.append(start)
         for i, (key, item) in enumerate(value.items()):
             out.append(f'{sep if i else ""}"{key}": ')
-            _pieces(item, depth + 1, encode, out)
+            _pieces(item, depth + 1, out)
         out.append(end)
     else:
-        out.append(encode(value))
+        out.append(_encode_nulls(value))
 
 
 def _write_doc(doc: dict, stream) -> None:
     """Write ``doc`` and a newline to ``stream``.
 
-    Values outside ``_Lines`` are encoded before the first write, so a
-    non-finite float (written as null instead) leaves nothing half written.
-    The pieces between ``_Lines`` are joined and written once; the texts of a
-    ``_Lines``, whose encoder is fixed up front, are made and written singly.
+    Every value outside ``_Lines`` is encoded, a non-finite float as null,
+    before the first write. The pieces between ``_Lines`` are joined and
+    written once; the texts of a ``_Lines``, whose encoder is fixed up
+    front, are made and written singly.
     """
     out: list = []
-    try:
-        _pieces(doc, 0, _STRICT.encode, out)
-    except ValueError:  # a non-finite float
-        out = []
-        _pieces(doc, 0, _encode_nulls, out)
+    _pieces(doc, 0, out)
     out.append("\n")
     start = 0
     for i, piece in enumerate(out):

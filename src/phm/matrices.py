@@ -99,24 +99,6 @@ def require_hermitian(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def block_diag(*blocks: np.ndarray) -> np.ndarray:
-    """Assemble a block-diagonal complex matrix from square blocks.
-
-    Scalars count as 1x1 blocks. An empty argument list yields a 0x0 matrix.
-    """
-    mats = [np.atleast_2d(np.asarray(b, dtype=np.complex128)) for b in blocks]
-    n = sum(m.shape[0] for m in mats)
-    out = np.zeros((n, n), dtype=np.complex128)
-    k = 0
-    for m in mats:
-        s = m.shape[0]
-        if m.shape != (s, s):
-            raise DimensionError(f"block of shape {m.shape} is not square")
-        out[k : k + s, k : k + s] = m
-        k += s
-    return out
-
-
 def lock(a: np.ndarray) -> np.ndarray:
     """Mark an array read-only (containers in this package are immutable)."""
     a.setflags(write=False)

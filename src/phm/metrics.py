@@ -38,7 +38,6 @@ from .errors import (
 )
 from .matrices import (
     as_square_matrix,
-    block_diag,
     frobenius,
     hermitize,
     lock,
@@ -152,15 +151,19 @@ def pair_block(tau: complex) -> np.ndarray:
 
 
 def build_m(params: MetricParameters) -> np.ndarray:
-    """Assemble the block-diagonal metric in the eigenbasis.
+    """The block-diagonal metric in the eigenbasis, written entry by entry.
 
     block-diag(mu_1 ... mu_r, B(tau_1), ..., B(tau_p)) with
-    B(tau) = [[0, conj(tau)], [tau, 0]]. Hermitian and invertible for
-    valid parameters.
+    B(tau) = [[0, conj(tau)], [tau, 0]]: mu_i sits at (i, i), and pair s
+    puts conj(tau_s) at (k, k+1) and tau_s at (k+1, k), k = r + 2s.
+    Hermitian and invertible for valid parameters.
     """
-    blocks = [np.array([[m]], dtype=np.complex128) for m in params.mu]
-    blocks.extend(pair_block(t) for t in params.tau)
-    return block_diag(*blocks)
+    m = np.zeros((params.r + 2 * params.p,) * 2, dtype=np.complex128)
+    i, k = np.arange(params.r), np.arange(params.r, len(m), 2)
+    m[i, i] = params.mu
+    m[k, k + 1] = params.tau.conj()
+    m[k + 1, k] = params.tau
+    return m
 
 
 def intertwining_residual(H, M, check_hermitian: bool = True) -> float:
@@ -191,7 +194,8 @@ def build_M(sd: SpectralData, params: MetricParameters) -> MetricResult:
 
     The result is hermitian-symmetrized. Its inertia is verify's, measured
     on M at unit scale, and an M with a null eigenvalue raises ParameterError.
-    The residual is taken against the matrix the decomposition was built from.
+    The residual is taken against the matrix the decomposition was built
+    from, on that same unit-scaled M.
     """
     if (params.r, params.p) != (sd.r, sd.p):
         raise ParameterError(
@@ -216,7 +220,7 @@ def build_M(sd: SpectralData, params: MetricParameters) -> MetricResult:
             f"M = S^dagger m S is singular: smallest / largest |eigenvalue| = {ratio:.3e} "
             f"<= null cut {NULL_EIGENVALUE_TOL:g}"
         )
-    res = intertwining_residual(sd.matrix, M, check_hermitian=False)
+    res = intertwining_residual(sd.matrix, unit, check_hermitian=False)
     return MetricResult(M=M, inertia=inertia, residual=res)
 
 

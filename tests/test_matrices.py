@@ -8,7 +8,6 @@ from phm.matrices import (
     SIGMA_Y,
     SIGMA_Z,
     as_square_matrix,
-    block_diag,
     frobenius,
     hermiticity_defect,
     hermitize,
@@ -60,13 +59,6 @@ def test_require_hermitian():
     require_hermitian(SIGMA_Y)
     with pytest.raises(NonHermitianError):
         require_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-def test_block_diag_layout():
-    b = block_diag(np.array([[2.0]]), SIGMA_X)
-    expected = np.array([[2, 0, 0], [0, 0, 1], [0, 1, 0]], dtype=np.complex128)
-    assert_allclose(b, expected, atol=0)
-    assert block_diag().shape == (0, 0)
 
 
 def test_frobenius():

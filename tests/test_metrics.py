@@ -4,14 +4,14 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import DIAG12, ROT2, make_instance
 from phm import decompose, random_parameters
 from phm.errors import NonHermitianError, NotSqhError, ParameterError
-from phm.matrices import SIGMA_X, SIGMA_Y, SIGMA_Z, block_diag, hermitize
+from phm.matrices import SIGMA_X, SIGMA_Y, SIGMA_Z, hermitize
 from phm.metrics import (
     TWO_PI,
     CanonicalClass,
@@ -105,6 +105,47 @@ def test_block_rotation_angle_underflow():
     assert_allclose(W @ pair_block(tau) @ W.conj().T, 2.0 * SIGMA_Z, atol=1e-15)
     _, cls = gauge_absorb(decompose(ROT2), MetricParameters(mu=[], tau=[tau]))
     assert cls.theta == (0.0,)
+
+
+def block_diag(*blocks):
+    """The complex block-diagonal matrix of square ``blocks``: the reference
+    assembly of build_m0, _block_m and _unitary_gauge_metric."""
+    out = np.zeros((sum(map(len, blocks)),) * 2, dtype=np.complex128)
+    k = 0
+    for b in blocks:
+        out[k : k + len(b), k : k + len(b)] = b
+        k += len(b)
+    return out
+
+
+def _block_m(params):
+    """m assembled block by block: [[mu_i]] for each real eigenvalue, then
+    pair_block(tau_s) for each pair."""
+    mu_blocks = (np.array([[m]], dtype=np.complex128) for m in params.mu)
+    return block_diag(*mu_blocks, *map(pair_block, params.tau))
+
+
+nonzero_float = st.floats(allow_nan=False, allow_infinity=False).filter(bool)
+nonzero_any_complex = st.complex_numbers(allow_nan=False, allow_infinity=False).filter(bool)
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    mu=st.lists(nonzero_float, min_size=10, max_size=10),
+    tau=st.lists(nonzero_any_complex, min_size=5, max_size=5),
+)
+@example(
+    mu=[-1.0, 2.0, -3e-300, 4e300, -5e-324, 1.0, -1.0, 1.0, -1.0, 1.0],
+    tau=[complex(-0.0, 1), complex(1, -0.0), complex(-1, 0.0), complex(0.0, -1), -2 - 3j],
+)
+def test_build_m_is_the_block_assembly(mu, tau):
+    # every split with n <= 10, signed zeros included: the same bytes
+    for n in range(11):
+        for r in range(n, -1, -2):
+            params = MetricParameters(mu=mu[:r], tau=tau[: (n - r) // 2])
+            got, want = build_m(params), _block_m(params)
+            assert got.shape == want.shape == (n, n)
+            assert got.tobytes() == want.tobytes()
 
 
 def build_m0(signs, n):
@@ -233,7 +274,7 @@ def test_canonical_identity_class_is_positive():
 def _unitary_gauge_metric(sd, cls):
     """The formula canonical_metric replaced: S^dagger U^dagger m0 U S with
     U = block-diag(I_r, pair_rotation(theta_1), ..., pair_rotation(theta_p))."""
-    U = block_diag(*([np.eye(sd.r)] if sd.r else []), *map(pair_rotation, cls.theta))
+    U = block_diag(np.eye(sd.r), *map(pair_rotation, cls.theta))
     m0 = build_m0(cls.signs, cls.n)
     return hermitize(sd.S.conj().T @ U.conj().T @ m0 @ U @ sd.S)
 

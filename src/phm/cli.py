@@ -24,12 +24,16 @@ exits with a documented code:
 
 Matrix files are JSON: {"schema": 1, "n": N, "entries": [[[re, im], ...], ...]},
 all three fields required, with N rows of N two-element [re, im] cells.
-Complex command-line literals use a+bi form ("1.5-2e-3i"); a bare real is
-accepted, forms with a coefficient-less i are rejected as ambiguous. The env
-var PHM_DEFAULT_TOL overrides the 1e-8 default classification tolerances of
-every command that decomposes H; analyze's --eps-real, --eps-pair and
---gap-tol flags override it for analyze. Each tolerance must be a finite
-positive number (exit 5 otherwise).
+A file is read once, as bytes. orjson parses it when its brackets are those
+of a matrix file; whatever orjson or the document's checks refuse is parsed
+again from the same bytes by json.load, so what is refused or accepted, and
+every message, is json.load's. Complex command-line literals use a+bi form
+("1.5-2e-3i"); a bare real is accepted, forms with a coefficient-less i are
+rejected as ambiguous. The env var PHM_DEFAULT_TOL overrides the 1e-8
+default classification tolerances of every command that decomposes H;
+analyze's --eps-real, --eps-pair and --gap-tol flags override it for
+analyze. Each tolerance must be a finite positive number (exit 5
+otherwise).
 
 stdout is always strict JSON: a number that is NaN or infinite (say, a
 figure that overflowed on entries near 1e308) is written as null. The
@@ -52,6 +56,7 @@ from __future__ import annotations
 import argparse
 import functools
 import gc
+import io
 import json
 import math
 import os
@@ -60,6 +65,7 @@ import sys
 from itertools import chain, product
 
 import numpy as np
+import orjson
 
 from .errors import (
     ClassificationError,
@@ -297,6 +303,18 @@ def _entries_array(entries: list, n: int) -> np.ndarray | None:
 def read_matrix_file(path: str) -> np.ndarray:
     """Parse a MatrixFile JSON document into a complex square array.
 
+    The file is read once, as bytes. Bytes whose brackets are exactly those
+    of a matrix file (``_matrix_shaped``) are parsed by orjson, which is
+    faster than the json module and rounds every number literal to the
+    same double. Its document goes through the same checks as the json
+    module's. Anything orjson refuses, and any document those checks
+    refuse, is parsed again from the same bytes by ``json.load`` as a UTF-8
+    text file: every refusal keeps its message, a pipe is not read twice,
+    and what only the json module takes in a key phm does not read (a NaN
+    or Infinity literal, a number beyond the double range, a lone
+    surrogate) is accepted as before. So the bytes are kept until the
+    array is made.
+
     The cyclic garbage collector is paused while the file is parsed and
     converted. The parsed document holds one list per row and per cell
     (16 512 at n = 128) and no reference cycle, so each collection that
@@ -314,12 +332,48 @@ def read_matrix_file(path: str) -> np.ndarray:
             gc.enable()
 
 
+# translate's delete table: every byte but a bracket, a brace or a quote
+_ALL_BUT_MARKS = bytes(range(256)).translate(None, b'[]{}"')
+
+
+def _matrix_shaped(data: bytes) -> bool:
+    """Whether the brackets of ``data`` are exactly those of a matrix file:
+    one object, one array of n rows of n cells, no other array or object,
+    and no bracket or backslash inside a string.
+
+    Such a document nests at most 4 deep, so orjson, which sets no depth
+    limit (a million nested arrays overflow the C stack), and the json
+    module, which refuses about a thousand, read it alike. Without a
+    backslash no quote is escaped, so the quotes pair up in order.
+    """
+    if b"\\" in data:
+        return False
+    marks = data.translate(None, _ALL_BUT_MARKS)
+    if b'"' in marks.replace(b'""', b""):  # a string holds a bracket
+        return False
+    brackets = marks.replace(b'"', b"")
+    n = math.isqrt(brackets.count(b"[]"))
+    return brackets == b"{[" + (b"[" + b"[]" * n + b"]") * n + b"]}"
+
+
 def _read_matrix_file(path: str) -> np.ndarray:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise FileFormatError(f"cannot read {path}: {exc}") from exc
+    if _matrix_shaped(data):
+        try:
+            return _matrix_of_doc(orjson.loads(data), path)
+        except (orjson.JSONDecodeError, FileFormatError):
+            pass  # json.load below decides, and words any refusal
+    return _matrix_of_doc(_json_doc(data, path), path)
+
+
+def _json_doc(data: bytes, path: str):
+    """``data`` parsed by ``json.load`` as a file opened as UTF-8 text."""
+    try:
+        return json.load(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
     except UnicodeDecodeError as exc:
         raise FileFormatError(f"{path}: not valid UTF-8 ({exc})") from exc
     except json.JSONDecodeError as exc:
@@ -328,6 +382,10 @@ def _read_matrix_file(path: str) -> np.ndarray:
         raise FileFormatError(f"{path}: number too large to parse ({exc})") from exc
     except RecursionError:
         raise FileFormatError(f"{path}: arrays or objects nested too deeply") from None
+
+
+def _matrix_of_doc(doc, path: str) -> np.ndarray:
+    """The complex array of a parsed matrix-file document."""
     if not isinstance(doc, dict):
         raise FileFormatError(f"{path}: top level must be a JSON object")
     schema = doc.get("schema")

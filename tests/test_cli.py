@@ -6,12 +6,15 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from decimal import Decimal, localcontext
 from itertools import chain, product, repeat
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,8 +22,11 @@ from hypothesis import strategies as st
 import phm
 from conftest import DIAG12, ROT2, make_instance, write_matrix_json
 from phm.cli import (
+    _json_doc,
     _Lines,
     _matrix_doc,
+    _matrix_of_doc,
+    _matrix_shaped,
     _mirrors_conjugate,
     _write_doc,
     _write_matrix_file,
@@ -467,6 +473,163 @@ def test_read_runs_no_collection(tmp_path):
         (gc.enable if was else gc.disable)()
     assert (during, after) == (0, 0)
     assert first[0].shape == (128, 128)
+
+
+# ------------------------------------------ orjson's path against json.load's
+
+
+def _two_readers(raw: bytes):
+    """The arrays orjson's path and json.load's path make of ``raw``, bytes
+    shaped like a matrix file that orjson accepts."""
+    assert _matrix_shaped(raw)
+    return _matrix_of_doc(orjson.loads(raw), "m.json"), _matrix_of_doc(_json_doc(raw, "m.json"), "m.json")
+
+
+@pytest.mark.parametrize("n,r,p", [(1, 1, 0), (2, 0, 1), (8, 4, 2), (32, 16, 8), (128, 64, 32), (256, 128, 64)])
+def test_orjson_path_reads_generated_files_as_json_load_does(capsys, tmp_path, n, r, p):
+    # (256, 128, 64) is CI's largest instance; _M.json is written from its upper triangle
+    out = str(tmp_path / "g")
+    assert main(["generate", f"--n={n}", f"--r={r}", f"--p={p}", "--seed=1", f"--out={out}"]) == 0
+    capsys.readouterr()
+    for path in (out + "_H.json", out + "_M.json"):
+        with open(path, "rb") as fh:
+            fast, reference = _two_readers(fh.read())
+        assert fast.tobytes() == reference.tobytes()
+        assert read_matrix_file(path).tobytes() == fast.tobytes()
+
+
+def _midpoint_literal(x: float) -> str:
+    """The exact decimal of the midpoint between ``x`` and the next double up."""
+    with localcontext() as ctx:
+        ctx.prec = 1200  # a double's exact decimal has at most 767 significant digits
+        return str((Decimal(x) + Decimal(math.nextafter(x, math.inf))) / 2)
+
+
+def _literal_corpus() -> list[str]:
+    bits = np.random.default_rng(30).integers(0, 2**64, size=300, dtype=np.uint64, endpoint=False)
+    doubles = [x for x in bits.view(np.float64).tolist() if math.isfinite(math.nextafter(abs(x), math.inf))]
+    doubles += [k * 5e-324 for k in (1, 2, 3, 2**52 - 1, 2**52)] + [2.0**k for k in (-1022, -1, 0, 52, 53, 1023)]
+    literals = []
+    for x in doubles:
+        literals += [_midpoint_literal(x), _midpoint_literal(-x)]  # ties: round half to even
+        literals += [f"{x:.{digits - 1}e}" for digits in range(17, 41)]
+    literals += ["5e-324", "2.4703282292062328e-324", "2.4703282292062327e-324", "1.7976931348623157e308"]
+    ints = [2**64, 2**64 + 1, 2**64 + 2**11, 2**64 + 2**11 + 1, 2**64 + 3 * 2**11, 2**63 + 1, 10**20]
+    ints += [2**k + 2**(k - 53) for k in range(64, 1024, 37)]  # ties between two doubles
+    ints += [int(x) for x in doubles if 2.0**64 <= abs(x) < 2.0**1023]
+    literals += [str(i) for i in ints] + [str(-i) for i in ints] + [str(-(2**63) - 1), "-0"]
+    return literals
+
+
+def test_orjson_path_rounds_every_literal_as_json_load_does():
+    literals = _literal_corpus()
+    n = math.isqrt(-(-len(literals) // 2) - 1) + 1  # 2 n^2 parts hold every literal
+    parts = literals + ["0"] * (2 * n * n - len(literals))
+    cells = [f"[{parts[k]}, {parts[k + 1]}]" for k in range(0, len(parts), 2)]
+    rows = ", ".join("[" + ", ".join(cells[i * n : (i + 1) * n]) + "]" for i in range(n))
+    fast, reference = _two_readers(f'{{"schema": 1, "n": {n}, "entries": [{rows}]}}'.encode())
+    assert fast.tobytes() == reference.tobytes()
+    # and both round as Python does: an integer literal as an int, then to float
+    rounded = [float(int(s)) if s.lstrip("-").isdigit() else float(s) for s in parts]
+    assert fast.view(np.float64).ravel().tobytes() == np.array(rounded).tobytes()
+
+
+_ONE = b'{"schema": 1, "n": 1, "entries": [[[1, 0]]]}'
+_DEEP = b"[" * 1100 + b"]" * 1100
+# (bytes, exit code of analyze, whether they reach orjson); None: the code
+# depends on the Python version's recursion limit
+_OUTCOMES = {
+    "true": (_with_cell("true"), 1, True),
+    "string": (_with_cell('"x"'), 1, True),
+    "null": (_with_cell("null"), 1, True),
+    "nan": (_with_cell("NaN"), 1, True),
+    "infinity": (_with_cell("Infinity"), 1, True),
+    "1e400": (_with_cell("1e400"), 1, True),
+    "int-400-digits": (_with_cell("9" * 400), 1, True),
+    "n-2**64": (_ONE.replace(b'"n": 1', b'"n": %d' % 2**64), 1, True),
+    "schema-1.0": (_ONE.replace(b'"schema": 1', b'"schema": 1.0'), 1, True),
+    "bom": (b"\xef\xbb\xbf" + _ONE, 1, True),
+    "not-utf8": (_ONE[:-1] + b', "x": "\xff"}', 1, True),
+    "trailing-data": (_ONE + b" x", 1, True),
+    "deep-1100": (_ONE[:-1] + b', "x": ' + _DEEP + b"}", None, False),
+    "deep-100000": (b"[" * 100000 + b"]" * 100000, 1, False),
+    "short-row": (b'{"schema": 1, "n": 2, "entries": [[[1, 0], [0, 0]], [[0, 0]]]}', 1, False),
+    "brackets-in-a-string": (b'{"schema": 1, "n": 1, "x": "[[[]]]", "entries": 5}', 1, False),
+    "lone-surrogate-key": (_ONE[:-1] + b', "x": "\\ud800"}', 0, False),
+    "ints-beyond-64-bits": (
+        b'{"schema": 1, "n": 2, "entries": [[[%d, 0], [0, 0]], [[0, 0], [%d, 0]]]}'
+        % (2**64 + 2**11 + 1, -(2**63) - 1),
+        0,
+        True,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_OUTCOMES))
+def test_orjson_path_keeps_every_outcome(capsys, monkeypatch, tmp_path, case):
+    # exit code, stdout and stderr are those of json.load's path alone
+    raw, code, shaped = _OUTCOMES[case]
+    path = tmp_path / "m.json"
+    path.write_bytes(raw)
+    assert _matrix_shaped(raw) is shaped
+    got = run(capsys, "analyze", str(path), parse=False)
+    monkeypatch.setattr(phm.cli, "_matrix_shaped", lambda data: False)
+    assert run(capsys, "analyze", str(path), parse=False) == got
+    _strict_json(got[1])
+    if code is not None:
+        assert got[0] == code
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        b'{"schema": 1,\r\n "n": 1,\r\n "entries": [[[1, 0]]]\r\n}',
+        b'{\r\n "a": 1,\r\n "b": x\r\n}',
+        b'{"a": "x\ry"}',
+        b'{"a": "' + b"x" * 10000 + b'\xff"}',
+        b'{"a": "\xe2\x82',
+        b"\xef\xbb\xbf{}",
+    ],
+    ids=["crlf", "crlf-error", "cr-in-string", "bad-byte-late", "cut-character", "bom"],
+)
+def test_json_doc_reads_the_bytes_as_a_text_file(tmp_path, raw):
+    # positions in messages count characters after newline translation
+    path = tmp_path / "m.json"
+    path.write_bytes(raw)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            expected = json.load(fh)
+    except ValueError as exc:
+        expected = str(exc)
+    try:
+        got = _json_doc(raw, str(path))
+    except FileFormatError as exc:
+        got = str(exc.__cause__)
+    assert got == expected
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_refusal_read_from_a_pipe_keeps_its_message(capsys, tmp_path):
+    # a pipe is read once: json.load words the refusal from the same bytes
+    path = tmp_path / "pipe.json"
+    os.mkfifo(path)
+    writer = threading.Thread(target=path.write_bytes, args=(_with_cell("true"),), daemon=True)
+    writer.start()
+    code, doc, _ = run(capsys, "analyze", str(path))
+    writer.join(timeout=10)
+    assert code == 1
+    assert doc["error"]["message"] == f"{path}: row 2, column 1: re/im must be numbers"
+
+
+def test_a_million_nested_arrays_exit_1_without_a_crash(tmp_path):
+    # orjson would recurse a million deep and overflow the C stack
+    path = tmp_path / "deep.json"
+    path.write_bytes(b"[" * 10**6 + b"]" * 10**6)
+    proc = subprocess.run(
+        [sys.executable, "-m", "phm", "analyze", str(path)], capture_output=True, env=_child_env(), timeout=60
+    )
+    assert proc.returncode == 1
+    assert json.loads(proc.stdout)["error"]["message"] == f"{path}: arrays or objects nested too deeply"
 
 
 @pytest.mark.parametrize(
@@ -1449,13 +1612,17 @@ def test_cli_contract(contract_dir, data):
         assert err.getvalue() == "" and not caught, (argv, [str(w.message) for w in caught])
 
 
+def _child_env() -> dict:
+    """This environment, with the phm under test first on PYTHONPATH."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(phm.__file__)))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))}
+
+
 def _close_stdout_early(argv, unbuffered=None):
     """Run ``python -m phm *argv``, read 50 bytes of its stdout, close it,
     and return the exit code, those bytes and stderr. ``unbuffered`` sets
     (True) or removes (False) PYTHONUNBUFFERED in the child; None inherits it."""
-    root = os.path.dirname(os.path.dirname(os.path.abspath(phm.__file__)))
-    pythonpath = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": pythonpath}
+    env = _child_env()
     if unbuffered is not None:
         env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:

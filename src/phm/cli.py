@@ -38,13 +38,13 @@ otherwise).
 stdout is always strict JSON: a number that is NaN or infinite (say, a
 figure that overflowed on entries near 1e308) is written as null. The
 exit code is the one the command gives anyway. Every document, usage
-errors and written matrix files included, has the same layout. Matrix rows
-and enumerate's classes are made and written a row or a block at a time;
-every other value is encoded before the first byte. One finiteness check
-picks a matrix's encoder, so no row fails partway. A matrix whose entries off
-the diagonal are bitwise their mirrors' conjugates (every metric phm builds)
-is formatted from its upper triangle: its writer holds up to n^2/4 mirrored
-cell texts, under twice the matrix's own 16 n^2 bytes. Any other holds a row.
+errors and written matrix files included, has the same layout, the json
+module's. Numbers are written by orjson, whose digits are repr's, and moved
+into that layout; strings and integers by the json module, which escapes
+non-ASCII and writes integers of any size. Matrix rows and enumerate's
+classes are made and written a row or a block at a time; every other value
+is encoded before the first byte. A matrix goes to orjson 8 rows at a
+time, finite or not, so its writer holds one block's text.
 
 main builds the parser of the named subcommand only; any other argv (none,
 -h, an unknown command) gets all seven, so help and usage errors read the same.
@@ -129,21 +129,38 @@ def _exit_code_for(exc: PhmError) -> int:
     return EXIT_INPUT
 
 
-_STRICT = json.JSONEncoder(allow_nan=False)  # strict JSON has no NaN or Infinity
+# orjson writes the shortest round-trip digits, as repr does, and NaN and
+# infinities as null; _json_layout moves its text into the json module's layout
+_EXP_SIGN = re.compile(rb"e(\d)")  # e16 -> e+16
+_EXP_PAD = re.compile(rb"e-(\d)(?!\d)")  # e-6 -> e-06
+_DIGITS = re.compile(rb"\d+")
 
 
-def _nonfinite_to_null(value):
-    """``value`` with every NaN or infinite float replaced by None."""
-    if isinstance(value, float):
-        return value if math.isfinite(value) else None
-    if isinstance(value, list):  # dicts are walked by _pieces
-        return [_nonfinite_to_null(v) for v in value]
-    return value
+def _json_layout(raw: bytes) -> str:
+    """orjson's text ``raw`` of numbers, None and lists of them, laid out as
+    the json module lays it out: ", " between items, an exponent with its
+    sign and at least two digits, and the decade [1e-5, 1e-4) in exponent
+    form. ``raw`` must hold no string: a comma or an e in one would move too."""
+    if b"e" in raw:
+        raw = _EXP_PAD.sub(rb"e-0\1", _EXP_SIGN.sub(rb"e+\1", raw))
+    if b"0.0000" in raw:
+        raw = _decade_e05(raw)
+    return raw.replace(b",", b", ").decode()
 
 
-def _encode_nulls(value) -> str:
-    """The strict JSON text of ``value``, every NaN or infinite float as null."""
-    return _STRICT.encode(_nonfinite_to_null(value))
+def _decade_e05(raw: bytes) -> bytes:
+    """``raw`` with each 0.0000d... written d....e-05, as repr writes it; after
+    a digit or a point, 0.0000 is inside a larger number (10.00001)."""
+    out, start = [], 0
+    i = raw.find(b"0.0000")
+    while i >= 0:
+        if i == 0 or raw[i - 1] not in b"0123456789.":
+            end = _DIGITS.match(raw, i + 6).end()
+            out += [raw[start:i], raw[i + 6 : i + 7], b"." if end > i + 7 else b"", raw[i + 7 : end], b"e-05"]
+            start = end
+        i = raw.find(b"0.0000", i + 1)
+    out.append(raw[start:])
+    return b"".join(out)
 
 
 class _Lines:
@@ -172,8 +189,10 @@ def _pieces(value, depth: int, out: list) -> None:
             out.append(f'{sep if i else ""}"{key}": ')
             _pieces(item, depth + 1, out)
         out.append(end)
-    else:
-        out.append(_encode_nulls(value))
+    elif isinstance(value, (str, int)):  # orjson writes non-ASCII raw and refuses ints from 2**64
+        out.append(json.dumps(value))
+    else:  # a number, None, or a list or array of numbers
+        out.append(_json_layout(orjson.dumps(value, option=orjson.OPT_SERIALIZE_NUMPY)))
 
 
 def _write_doc(doc: dict, stream) -> None:
@@ -181,8 +200,7 @@ def _write_doc(doc: dict, stream) -> None:
 
     Every value outside ``_Lines`` is encoded, a non-finite float as null,
     before the first write. The pieces between ``_Lines`` are joined and
-    written once; the texts of a ``_Lines``, whose encoder is fixed up
-    front, are made and written singly.
+    written once; the texts of a ``_Lines`` are made and written singly.
     """
     out: list = []
     _pieces(doc, 0, out)
@@ -211,44 +229,16 @@ def _emit_error(exc: Exception, extra: dict | None = None) -> None:
     print(f"error: {exc}", file=sys.stderr)
 
 
-def _complex_pairs(values) -> list:
-    """[re, im] Python floats per entry, nested like ``values``."""
-    z = np.asarray(values, dtype=np.complex128)
-    return np.stack([z.real, z.imag], -1).tolist()
-
-
-def _mirrors_conjugate(cells: np.ndarray) -> bool:
-    """Whether each entry below the diagonal of finite ``cells`` has the bits
-    of its mirror's conjugate. Bytes, not values, are compared: -0.0 == 0.0."""
-    conj_t = cells.transpose(1, 0, 2) * (1.0, -1.0)  # -x flips the sign bit alone, zeros included
-    return all(conj_t[i, :i].tobytes() == cells[i, :i].tobytes() for i in range(len(cells)))
-
-
-def _hermitian_rows(cells: np.ndarray):
-    """The row texts of finite ``cells`` that mirror their conjugates. Each float
-    on and above the diagonal is formatted once (``repr``, as the JSON encoder
-    does); cell (j, i) reuses cell (i, j)'s texts, the imaginary sign toggled."""
-    lower = [[] for _ in cells]  # lower[j]: row j's texts left of its diagonal
-    for i, row in enumerate(cells):
-        floats = list(map(repr, row[i:].ravel().tolist()))
-        real, imag = floats[0::2], floats[1::2]
-        mirrored = [f"[{r}, {m[1:]}]" if m[0] == "-" else f"[{r}, -{m}]" for r, m in zip(real[1:], imag[1:])]
-        list(map(list.append, lower[i + 1 :], mirrored))
-        texts, lower[i] = lower[i], None  # held only until its row is written
-        texts += [f"[{r}, {m}]" for r, m in zip(real, imag)]
-        yield "[" + ", ".join(texts) + "]"
-
-
 def _matrix_doc(M: np.ndarray) -> dict:
-    """The matrix-file document of ``M``; a row is encoded only as it is written."""
+    """The matrix-file document of ``M``. Its rows go to orjson 8 at a time,
+    each block only when its first row is written, NaN and infinities as null.
+    The bytes, their rewrite, the text and the rows of a block are held at
+    once: eight rows keep that under the matrix's 16 n^2 bytes from n = 128."""
     M = np.ascontiguousarray(M, dtype=np.complex128)
     cells = M.view(np.float64).reshape(M.shape + (2,))  # [re, im] per entry, no copy
-    finite = np.isfinite(cells).all()
-    if finite and _mirrors_conjugate(cells):
-        rows = _hermitian_rows(cells)
-    else:
-        rows = map(_STRICT.encode if finite else _encode_nulls, map(np.ndarray.tolist, cells))
-    return {"schema": 1, "n": int(M.shape[0]), "entries": _Lines(rows, "   ")}
+    blocks = (orjson.dumps(cells[i : i + 8], option=orjson.OPT_SERIALIZE_NUMPY) for i in range(0, len(M), 8))
+    rows = chain.from_iterable(_json_layout(block)[3:-3].split("]], [[") for block in blocks)
+    return {"schema": 1, "n": int(M.shape[0]), "entries": _Lines(map("[[{}]]".format, rows), "   ")}
 
 
 def _write_matrix_file(path: str, M: np.ndarray) -> None:
@@ -491,7 +481,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             "n": sd.n,
             "r": sd.r,
             "p": sd.p,
-            "eigenvalues": _complex_pairs(sd.lam),
+            "eigenvalues": np.stack([sd.lam.real, sd.lam.imag], -1),  # [re, im] per value
             "min_gap": sd.min_gap,
             "cond_S": sd.cond_S,
             "is_ph_admissible": True,

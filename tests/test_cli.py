@@ -23,11 +23,11 @@ import phm
 from conftest import DIAG12, ROT2, make_instance, write_matrix_json
 from phm.cli import (
     _json_doc,
+    _json_layout,
     _Lines,
     _matrix_doc,
     _matrix_of_doc,
     _matrix_shaped,
-    _mirrors_conjugate,
     _write_doc,
     _write_matrix_file,
     build_parser,
@@ -244,16 +244,11 @@ def _with_conjugate_lower(M):
     return M
 
 
-def _cells(M):
-    return np.ascontiguousarray(M, dtype=np.complex128).view(np.float64).reshape(M.shape + (2,))
-
-
 @settings(deadline=None, max_examples=50)
 @given(data=st.data(), n=st.integers(1, 8))
 def test_hermitian_matrix_file_bytes_match_reference_template(tmp_path_factory, data, n):
     parts = data.draw(st.lists(_cell_floats, min_size=2 * n * n, max_size=2 * n * n))
     M = _with_conjugate_lower(np.array(parts, dtype=np.float64).view(np.complex128).reshape(n, n))
-    assert _mirrors_conjugate(_cells(M))
     path = tmp_path_factory.mktemp("io") / "m.json"
     _write_matrix_file(str(path), M)
     assert path.read_text(encoding="utf-8") == _reference_matrix_file(M)
@@ -268,30 +263,84 @@ _MIXED = np.array([[1, 2, 1 + 1j], [2, 3, 4 - 2j], [1 - 1j, 4 + 2j, 5]])
 
 
 @pytest.mark.parametrize(
-    "M, mirrors",
+    "M",
     [
-        (np.array([[1.0, 2.0], [2.0, 3.0]]), False),  # imaginary parts +0.0 on both sides
-        (_MIXED, False),  # one pair with +0.0 imaginary parts on both sides
-        (_with_conjugate_lower(_MIXED.copy()), True),  # the same pair as 0.0 above, -0.0 below
-        (np.array([[complex(1, -0.0), 2 + 1j], [2 - 1j, complex(3, -0.0)]]), True),
-        (np.array([[complex(2.5, -0.0)]]), True),
-        (np.array([[7 - 3j]]), True),
-        (_one_ulp_off(_with_conjugate_lower(_MIXED.copy())), False),
-        (np.array([[1, complex(np.inf, 1)], [complex(np.inf, -1), 2]]), None),
-        (np.array([[complex(1, np.nan), 2 - 1j], [2 + 1j, 3]]), None),
+        np.array([[1.0, 2.0], [2.0, 3.0]]),  # imaginary parts +0.0 on both sides
+        _MIXED,  # one pair with +0.0 imaginary parts on both sides
+        _with_conjugate_lower(_MIXED.copy()),  # the same pair as 0.0 above, -0.0 below
+        np.array([[complex(1, -0.0), 2 + 1j], [2 - 1j, complex(3, -0.0)]]),
+        np.array([[complex(2.5, -0.0)]]),
+        np.array([[7 - 3j]]),
+        _one_ulp_off(_with_conjugate_lower(_MIXED.copy())),
+        np.array([[1, complex(np.inf, 1)], [complex(np.inf, -1), 2]]),
+        np.array([[complex(1, np.nan), 2 - 1j], [2 + 1j, 3]]),
     ],
     ids=["real-symmetric", "zero-pair", "signed-zero-pair", "negative-zero-diagonal", "1x1-negative-zero",
          "1x1", "one-ulp-off", "infinite", "nan-diagonal"],
 )
-def test_hermitian_path_edge_cases_match_reference_template(tmp_path, M, mirrors):
-    """The mirror path is taken exactly when the lower triangle is bitwise the
-    upper one conjugated (``mirrors``; None: not finite, written as nulls), and
-    every path writes the reference bytes."""
-    if mirrors is not None:
-        assert _mirrors_conjugate(_cells(M)) is mirrors
+def test_hermitian_path_edge_cases_match_reference_template(tmp_path, M):
+    """Signed zeros, a lower triangle one ulp off its mirror, and non-finite
+    parts (written as nulls) give the reference bytes."""
     path = tmp_path / "m.json"
     _write_matrix_file(str(path), M)
     assert path.read_text(encoding="utf-8") == _reference_matrix_file(M)
+
+
+def _layout_corpus(name: str) -> np.ndarray:
+    rng = np.random.default_rng(31)
+    signs = rng.choice([-1.0, 1.0], 8192)
+    if name == "random-bits":  # NaN payloads, infinities and subnormals among them
+        return rng.integers(0, 2**64, 8192, dtype=np.uint64, endpoint=False).view(np.float64)
+    if name == "log-uniform":
+        return signs * 10.0 ** rng.uniform(-12, 20, 8192)
+    if name in ("1e-6-to-1e-3", "1e-6-to-1e-3-plus-10"):  # the decade [1e-5, 1e-4) and its neighbours
+        small = signs * 10.0 ** rng.uniform(-6, -3, 8192)
+        return small + 10 if name.endswith("plus-10") else small
+    if name == "powers-of-two":  # every seventh, 2**-1074 to 2**1023
+        powers = np.ldexp(1.0, np.arange(-1074, 1024, 7))
+        return np.concatenate([powers, -powers])
+    if name == "signed-zeros":
+        return rng.choice([0.0, -0.0], 512)
+    return rng.choice([np.nan, np.inf, -np.inf, -0.0, 1e-5, 2.5e16], 512)  # non-finite mixes
+
+
+@pytest.mark.parametrize(
+    "corpus",
+    ["random-bits", "log-uniform", "1e-6-to-1e-3", "1e-6-to-1e-3-plus-10", "powers-of-two", "signed-zeros",
+     "non-finite"],
+)
+def test_orjson_layout_guard(tmp_path, corpus):
+    """orjson's float text is not a documented contract: the row path and the
+    encoder of a document's other values must give the json module's bytes,
+    so a change in orjson fails here instead of moving stdout."""
+    values = _layout_corpus(corpus)
+    n = math.isqrt(len(values) // 2 - 1) + 1  # 16 rows or more: more than one orjson block
+    M = np.resize(values, 2 * n * n).view(np.complex128).reshape(n, n)
+    path = tmp_path / "m.json"
+    _write_matrix_file(str(path), M)
+    assert path.read_text(encoding="utf-8") == _reference_matrix_file(M)
+    listed = values.tolist()
+    assert _json_layout(orjson.dumps(listed)) == json.dumps([x if math.isfinite(x) else None for x in listed])
+
+
+def test_analyze_prints_a_class_count_beyond_64_bits(capsys, tmp_path):
+    """66 real eigenvalues: 2**65 classes, an integer orjson refuses to write."""
+    path = write_matrix_json(tmp_path / "diag66.json", np.diag(np.arange(1.0, 67.0)))
+    code, text, _ = run(capsys, "analyze", path, parse=False)
+    assert code == 0
+    assert text.endswith('\n "class_count": 36893488147419103232\n}\n')
+    assert json.loads(text)["class_count"] == 2**65
+
+
+@pytest.mark.parametrize("argv", [["analyze", "{dir}/café.json"], ["analyze", "{dir}/x.json", "--é"]],
+                         ids=["path", "argv-token"])
+def test_error_document_escapes_non_ascii(capsys, tmp_path, argv):
+    """A message echoing a path or an argv token writes é as the json module
+    does, as the escape \\u00e9 (orjson would write its UTF-8 bytes)."""
+    code, text, _ = run(capsys, *(a.format(dir=tmp_path) for a in argv), parse=False)
+    assert code == 1
+    assert "\\u00e9" in text and "é" not in text
+    assert "é" in json.loads(text)["error"]["message"]
 
 
 def _writer_peak(path, M) -> int:
@@ -312,12 +361,19 @@ def test_matrix_file_writer_memory_stays_near_the_matrix(tmp_path):
 
 @pytest.mark.parametrize("n", [256, 512])
 def test_hermitian_matrix_file_writer_memory_stays_near_the_matrix(tmp_path, n):
-    """The texts mirrored below the diagonal, held until their rows go out,
-    stay within the bound the row-by-row writer keeps."""
+    """A block of rows in flight, its orjson bytes and its row texts, stays
+    under twice the matrix's own bytes."""
     rng = np.random.default_rng(7)
     M = hermitize(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-    assert _mirrors_conjugate(_cells(M))
     assert _writer_peak(tmp_path / "m.json", M) <= 2 * M.nbytes
+
+
+def test_matrix_file_writer_holds_under_the_matrix_at_n128(tmp_path):
+    """At n = 128 a block of 8 rows is a sixteenth of the matrix; its copies
+    in flight stay under the matrix's own bytes (16 rows took twice them)."""
+    rng = np.random.default_rng(7)
+    M = hermitize(rng.standard_normal((128, 128)) + 1j * rng.standard_normal((128, 128)))
+    assert _writer_peak(tmp_path / "m.json", M) <= M.nbytes
 
 
 def _joined_doc(doc) -> str:

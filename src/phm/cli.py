@@ -24,10 +24,12 @@ exits with a documented code:
 
 Matrix files are JSON: {"schema": 1, "n": N, "entries": [[[re, im], ...], ...]},
 all three fields required, with N rows of N two-element [re, im] cells.
-A file is read once, as bytes. orjson parses it when its brackets are those
-of a matrix file; whatever orjson or the document's checks refuse is parsed
-again from the same bytes by json.load, so what is refused or accepted, and
-every message, is json.load's. Complex command-line literals use a+bi form
+A file is read once, as bytes. When its one array is a grid of numbers
+whose cells' brackets touch their numbers, orjson parses it with the inner
+brackets blanked out, so the entries come back as one flat list of numbers;
+whatever that gate, orjson or the document's checks refuse is parsed again
+from the same bytes by json.load, so what is refused or accepted, and every
+message, is json.load's. Complex command-line literals use a+bi form
 ("1.5-2e-3i"); a bare real is accepted, forms with a coefficient-less i are
 rejected as ambiguous. The env var PHM_DEFAULT_TOL overrides the 1e-8
 default classification tolerances of every command that decomposes H;
@@ -293,20 +295,18 @@ def _entries_array(entries: list, n: int) -> np.ndarray | None:
 def read_matrix_file(path: str) -> np.ndarray:
     """Parse a MatrixFile JSON document into a complex square array.
 
-    The file is read once, as bytes. Bytes whose brackets are exactly those
-    of a matrix file (``_matrix_shaped``) are parsed by orjson, which is
-    faster than the json module and rounds every number literal to the
-    same double. Its document goes through the same checks as the json
-    module's. Anything orjson refuses, and any document those checks
-    refuse, is parsed again from the same bytes by ``json.load`` as a UTF-8
-    text file: every refusal keeps its message, a pipe is not read twice,
+    The file is read once, as bytes. ``_flat_matrix`` parses most files with
+    orjson, which is faster than the json module and rounds every number
+    literal to the same double. Anything it does not take is parsed again
+    from the same bytes by ``json.load`` as a UTF-8 text file and checked
+    cell by cell: every refusal keeps its message, a pipe is not read twice,
     and what only the json module takes in a key phm does not read (a NaN
     or Infinity literal, a number beyond the double range, a lone
-    surrogate) is accepted as before. So the bytes are kept until the
-    array is made.
+    surrogate) is accepted as before. So the bytes are kept until the array
+    is made.
 
     The cyclic garbage collector is paused while the file is parsed and
-    converted. The parsed document holds one list per row and per cell
+    converted. json.load's document holds one list per row and per cell
     (16 512 at n = 128) and no reference cycle, so each collection that
     those allocations would trigger walks the tree and frees nothing. The
     document is released before the collector is turned back on, and only
@@ -322,42 +322,91 @@ def read_matrix_file(path: str) -> np.ndarray:
             gc.enable()
 
 
-# translate's delete table: every byte but a bracket, a brace or a quote
-_ALL_BUT_MARKS = bytes(range(256)).translate(None, b'[]{}"')
-
-
-def _matrix_shaped(data: bytes) -> bool:
-    """Whether the brackets of ``data`` are exactly those of a matrix file:
-    one object, one array of n rows of n cells, no other array or object,
-    and no bracket or backslash inside a string.
-
-    Such a document nests at most 4 deep, so orjson, which sets no depth
-    limit (a million nested arrays overflow the C stack), and the json
-    module, which refuses about a thousand, read it alike. Without a
-    backslash no quote is escaped, so the quotes pair up in order.
-    """
-    if b"\\" in data:
-        return False
-    marks = data.translate(None, _ALL_BUT_MARKS)
-    if b'"' in marks.replace(b'""', b""):  # a string holds a bracket
-        return False
-    brackets = marks.replace(b'"', b"")
-    n = math.isqrt(brackets.count(b"[]"))
-    return brackets == b"{[" + (b"[" + b"[]" * n + b"]") * n + b"]}"
-
-
 def _read_matrix_file(path: str) -> np.ndarray:
     try:
         with open(path, "rb") as fh:
             data = fh.read()
     except OSError as exc:
         raise FileFormatError(f"cannot read {path}: {exc}") from exc
-    if _matrix_shaped(data):
-        try:
-            return _matrix_of_doc(orjson.loads(data), path)
-        except (orjson.JSONDecodeError, FileFormatError):
-            pass  # json.load below decides, and words any refusal
+    M = _flat_matrix(data)
+    if M is not None:
+        return M
     return _matrix_of_doc(_json_doc(data, path), path)
+
+
+# translate's delete table for a skeleton: the bytes of JSON numbers and whitespace
+_NUMBER_OR_SPACE = b"0123456789+-.eE \t\n\r"
+# bytes per numpy pass of _flat_doc: the temporaries of a block fit memory the
+# allocator reuses, while file-sized ones cost more in fresh pages than the pass
+_BLOCK = 1 << 17
+
+
+def _flat_matrix(data: bytes) -> np.ndarray | None:
+    """The array of the matrix file ``data``, parsed by orjson with the
+    entries as one flat list of numbers; None leaves the file to json.load.
+
+    The gate: one ``{`` and, from the first ``[`` to the last ``]``, the
+    grid of ``_grid_size``. So the array holds no string, no object and no
+    word, and the document nests two deep once the array's inner brackets
+    are blanked out: orjson, which sets no depth limit, never sees a deep
+    document. Past the gate, the blanked bytes parse as a document whose
+    one list holds 2 n^2 numbers exactly when the file parses as a matrix
+    file with those entries.
+    """
+    start, end = data.find(b"["), data.rfind(b"]")
+    if start < 0 or end < start or data.find(b"[", end) >= 0:
+        return None
+    if data.count(b"{", 0, start) + data.count(b"{", end) != 1:
+        return None
+    n = _grid_size(data)
+    doc = _flat_doc(data, start, end) if n else None
+    if not isinstance(doc, dict):
+        return None
+    schema, size, values = doc.get("schema"), doc.get("n"), doc.get("entries")
+    if type(schema) is not int or schema != 1 or type(size) is not int or size != n:
+        return None
+    if not isinstance(values, list) or len(values) != 2 * n * n:  # the document's one list
+        return None
+    a = np.array(values, dtype=np.float64)
+    if not np.isfinite(a).all():
+        return None
+    return a.view(np.complex128).reshape(n, n)
+
+
+def _grid_size(data: bytes) -> int:
+    """n if the skeleton of the array from the first ``[`` to the last ``]``
+    of ``data``, its bytes without number bytes and whitespace, is that of
+    n rows of n two-item cells, else 0."""
+    skeleton = data.translate(None, _NUMBER_OR_SPACE)
+    skeleton = skeleton[skeleton.find(b"[") : skeleton.rfind(b"]") + 1]
+    n = math.isqrt(skeleton.count(b"[,]"))
+    row = b"[" + b",".join([b"[,]"] * n) + b"]"
+    return n if skeleton == b"[" + b",".join([row] * n) + b"]" else 0
+
+
+def _flat_doc(data: bytes, start: int, end: int):
+    """orjson's document of ``data`` with every bracket inside the array
+    from ``data[start]`` to ``data[end]`` made a space; None when orjson
+    refuses it, or when a cell's bracket does not touch its number
+    (``[1, 2]``, not ``[ 1, 2]``).
+
+    Blanked brackets leave only commas between the items, so a number
+    outside its cell, as in ``[[[1, ]2]]``, would fill the blank of an empty
+    item. A number starts with - or a digit and ends with a digit.
+    """
+    text = bytearray(data)
+    out, src = np.frombuffer(text, np.uint8), np.frombuffer(data, np.uint8)
+    for i in range(start + 1, end, _BLOCK):
+        j = min(i + _BLOCK, end)
+        near = src[i - 1 : j + 1]  # the block and one byte on each side
+        opened, closed = near[1:-1] == ord("["), near[1:-1] == ord("]")
+        if (opened & (near[2:] < ord("-"))).any() or (closed & (near[:-2] < ord("0"))).any():
+            return None
+        np.putmask(out[i:j], opened | closed, ord(" "))
+    try:
+        return orjson.loads(text)
+    except orjson.JSONDecodeError:
+        return None
 
 
 def _json_doc(data: bytes, path: str):

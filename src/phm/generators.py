@@ -164,7 +164,7 @@ def generate_via_spectrum(cfg: GeneratorConfig) -> GeneratedInstance:
         r=cfg.r,
         p=cfg.p,
         min_gap=min_gap,
-        cond_S=cond_S,
+        known_cond=cond_S,
         sym_shift=0.0,
     )
     certificate = build_M(

@@ -289,7 +289,7 @@ def gauge_absorb(sd: SpectralData, params: MetricParameters) -> tuple[SpectralDa
         [np.sqrt(np.abs(params.mu)), np.repeat(np.sqrt(np.abs(params.tau)), 2)]
     )
     S_prime = d0[:, np.newaxis] * sd.S
-    sd_prime = replace(sd, S=S_prime, cond_S=float(np.linalg.cond(S_prime)))
+    sd_prime = replace(sd, S=S_prime, known_cond=float(np.linalg.cond(S_prime)), V=None)
     # atan2, not cmath.phase: phase raises OverflowError when the angle underflows
     theta = tuple(math.atan2(t.imag, t.real) % TWO_PI for t in params.tau)
     cls = CanonicalClass(

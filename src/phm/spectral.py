@@ -12,8 +12,9 @@ brute-force solution-space check) consumes the resulting
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -25,6 +26,11 @@ from .matrices import as_square_matrix, lock, times_power_of_two, unit_exponent,
 _GAUGE_EPS = 1e-12
 
 DEFAULT_TOL = 1e-8  # the default relative classification and degeneracy tolerance
+
+# The SVD's singular values are off by about n eps sigma_max, so below this
+# norm bound on the condition number its cond(V) stays within a few percent
+# of the bound for n up to 1e4; above it, cond(V) may even read inf.
+_TRUSTED_BOUND = 1e10
 
 
 @dataclass(frozen=True)
@@ -90,6 +96,11 @@ class SpectralData:
     reports how far the raw eigenvalues were moved to make the pairs
     exact conjugates and the real values exactly real. ``matrix`` is the
     H this decomposition was built from.
+
+    ``cond_S`` is the diagonalizer's 2-norm condition number:
+    ``known_cond`` when that is given, else ``np.linalg.cond(V)``, an SVD
+    of the eigenvector matrix ``V`` that S inverts, run when ``cond_S`` is
+    first read.
     """
 
     matrix: np.ndarray
@@ -98,17 +109,24 @@ class SpectralData:
     r: int
     p: int
     min_gap: float
-    cond_S: float
+    known_cond: float | None
     sym_shift: float = 0.0
+    V: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         lock(self.matrix)
         lock(self.lam)
         lock(self.S)
+        if self.V is not None:
+            lock(self.V)
 
     @property
     def n(self) -> int:
         return self.lam.shape[0]
+
+    @functools.cached_property
+    def cond_S(self) -> float:
+        return self.known_cond if self.known_cond is not None else float(np.linalg.cond(self.V))
 
 
 def _scale(values: np.ndarray) -> float:
@@ -323,7 +341,10 @@ def build_spectral_data(
     into the canonical order, each is scaled to unit norm with its first
     nonzero component made real positive (a deterministic choice of the
     per-eigenvector scaling freedom), and S is the inverse of the resulting
-    column matrix, refused past ``tol.cond_cap``. ``matrix`` is ``eigenpairs.matrix``.
+    column matrix V, refused when ``np.linalg.cond(V)`` exceeds
+    ``tol.cond_cap``. That SVD runs here only when V is singular or the
+    norm bound of :func:`_cond_bound` is not under half the cap; otherwise
+    ``cond_S`` runs it when read. ``matrix`` is ``eigenpairs.matrix``.
     """
     n = eigenpairs.values.size
     if classification.r + 2 * classification.p != n:
@@ -347,15 +368,15 @@ def build_spectral_data(
     V = eigenpairs.right_vectors[:, perm]  # a copy
     _fix_column_gauge(V)
 
-    cond = float(np.linalg.cond(V))
-    if not np.isfinite(cond) or cond > tol.cond_cap:
-        raise IllConditionedError(
-            f"diagonalizer condition number {cond:.3e} exceeds cap {tol.cond_cap:.1e}"
-        )
     try:
         S = np.linalg.inv(V)
     except np.linalg.LinAlgError as exc:
+        _capped_cond(V, tol.cond_cap)  # the cap's refusal comes first
         raise IllConditionedError(f"eigenvector matrix is singular: {exc}") from exc
+    # np.linalg.cond(V) <= bound (1 + O(n eps bound)): half the cap leaves room
+    # for that rounding while the bound is under _TRUSTED_BOUND; NaN and inf fail
+    bound = _cond_bound(V, S)
+    cond = None if bound < min(tol.cond_cap / 2, _TRUSTED_BOUND) else _capped_cond(V, tol.cond_cap)
     return SpectralData(
         matrix=eigenpairs.matrix,
         lam=lam,
@@ -363,9 +384,30 @@ def build_spectral_data(
         r=classification.r,
         p=classification.p,
         min_gap=min_gap,
-        cond_S=cond,
+        known_cond=cond,
         sym_shift=shift,
+        V=V,
     )
+
+
+def _capped_cond(V: np.ndarray, cap: float) -> float:
+    """``np.linalg.cond(V)``, refused when it is not finite or exceeds ``cap``."""
+    cond = float(np.linalg.cond(V))
+    if not np.isfinite(cond) or cond > cap:
+        raise IllConditionedError(f"diagonalizer condition number {cond:.3e} exceeds cap {cap:.1e}")
+    return cond
+
+
+def _cond_bound(V: np.ndarray, S: np.ndarray) -> float:
+    """sqrt(|V|_1 |V|_inf |S|_1 |S|_inf), at least |V|_2 |S|_2 since
+    |A|_2 <= sqrt(|A|_1 |A|_inf): with S = V^-1, a bound on V's condition
+    number from four absolute sums. inf or NaN when S overflowed."""
+    product = 1.0
+    with np.errstate(all="ignore"):
+        for A in (V, S):
+            a = np.abs(A)
+            product *= float(a.sum(axis=0).max()) * float(a.sum(axis=1).max())
+    return math.sqrt(product)
 
 
 def decompose(

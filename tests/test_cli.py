@@ -22,12 +22,12 @@ from hypothesis import strategies as st
 import phm
 from conftest import DIAG12, ROT2, make_instance, write_matrix_json
 from phm.cli import (
+    _flat_matrix,
     _json_doc,
     _json_layout,
     _Lines,
     _matrix_doc,
     _matrix_of_doc,
-    _matrix_shaped,
     _write_doc,
     _write_matrix_file,
     build_parser,
@@ -535,10 +535,11 @@ def test_read_runs_no_collection(tmp_path):
 
 
 def _two_readers(raw: bytes):
-    """The arrays orjson's path and json.load's path make of ``raw``, bytes
-    shaped like a matrix file that orjson accepts."""
-    assert _matrix_shaped(raw)
-    return _matrix_of_doc(orjson.loads(raw), "m.json"), _matrix_of_doc(_json_doc(raw, "m.json"), "m.json")
+    """The arrays orjson's flat path and json.load's path make of ``raw``, a
+    matrix file that the flat path takes."""
+    fast = _flat_matrix(raw)
+    assert fast is not None
+    return fast, _matrix_of_doc(_json_doc(raw, "m.json"), "m.json")
 
 
 @pytest.mark.parametrize("n,r,p", [(1, 1, 0), (2, 0, 1), (8, 4, 2), (32, 16, 8), (128, 64, 32), (256, 128, 64)])
@@ -595,11 +596,11 @@ _DEEP = b"[" * 1100 + b"]" * 1100
 # (bytes, exit code of analyze, whether they reach orjson); None: the code
 # depends on the Python version's recursion limit
 _OUTCOMES = {
-    "true": (_with_cell("true"), 1, True),
-    "string": (_with_cell('"x"'), 1, True),
-    "null": (_with_cell("null"), 1, True),
-    "nan": (_with_cell("NaN"), 1, True),
-    "infinity": (_with_cell("Infinity"), 1, True),
+    "true": (_with_cell("true"), 1, False),
+    "string": (_with_cell('"x"'), 1, False),
+    "null": (_with_cell("null"), 1, False),
+    "nan": (_with_cell("NaN"), 1, False),
+    "infinity": (_with_cell("Infinity"), 1, False),
     "1e400": (_with_cell("1e400"), 1, True),
     "int-400-digits": (_with_cell("9" * 400), 1, True),
     "n-2**64": (_ONE.replace(b'"n": 1', b'"n": %d' % 2**64), 1, True),
@@ -611,7 +612,7 @@ _OUTCOMES = {
     "deep-100000": (b"[" * 100000 + b"]" * 100000, 1, False),
     "short-row": (b'{"schema": 1, "n": 2, "entries": [[[1, 0], [0, 0]], [[0, 0]]]}', 1, False),
     "brackets-in-a-string": (b'{"schema": 1, "n": 1, "x": "[[[]]]", "entries": 5}', 1, False),
-    "lone-surrogate-key": (_ONE[:-1] + b', "x": "\\ud800"}', 0, False),
+    "lone-surrogate-key": (_ONE[:-1] + b', "x": "\\ud800"}', 0, True),
     "ints-beyond-64-bits": (
         b'{"schema": 1, "n": 2, "entries": [[[%d, 0], [0, 0]], [[0, 0], [%d, 0]]]}'
         % (2**64 + 2**11 + 1, -(2**63) - 1),
@@ -621,19 +622,100 @@ _OUTCOMES = {
 }
 
 
+def _analyze_both_ways(capsys, monkeypatch, path):
+    """analyze's (exit code, stdout, stderr) on ``path``, whether orjson
+    parsed the file, and the triple of json.load's path alone."""
+    parses, loads = [], orjson.loads
+    monkeypatch.setattr(orjson, "loads", lambda data: parses.append(data) or loads(data))
+    got = run(capsys, "analyze", str(path), parse=False)
+    reached = bool(parses)
+    parses.clear()
+    json_docs, json_doc = [], phm.cli._json_doc
+    monkeypatch.setattr(phm.cli, "_flat_matrix", lambda data: None)
+    monkeypatch.setattr(phm.cli, "_json_doc", lambda *args: json_docs.append(args) or json_doc(*args))
+    reference = run(capsys, "analyze", str(path), parse=False)
+    assert (len(parses), len(json_docs)) == (0, 1)  # the reference read is json.load's alone
+    return got, reached, reference
+
+
 @pytest.mark.parametrize("case", list(_OUTCOMES))
 def test_orjson_path_keeps_every_outcome(capsys, monkeypatch, tmp_path, case):
     # exit code, stdout and stderr are those of json.load's path alone
-    raw, code, shaped = _OUTCOMES[case]
+    raw, code, reaches_orjson = _OUTCOMES[case]
     path = tmp_path / "m.json"
     path.write_bytes(raw)
-    assert _matrix_shaped(raw) is shaped
-    got = run(capsys, "analyze", str(path), parse=False)
-    monkeypatch.setattr(phm.cli, "_matrix_shaped", lambda data: False)
-    assert run(capsys, "analyze", str(path), parse=False) == got
+    got, reached, reference = _analyze_both_ways(capsys, monkeypatch, path)
+    assert reached is reaches_orjson
+    assert reference == got
     _strict_json(got[1])
     if code is not None:
         assert got[0] == code
+
+
+def _with_entries(entries: bytes, n: int = 2) -> bytes:
+    return b'{"schema": 1, "n": %d, "entries": %s}' % (n, entries)
+
+
+# Inputs built to slip past the flat path's gate: (bytes, exit code of
+# analyze, whether orjson parses them there).
+_TRAPS = {
+    "entries-0-grid-elsewhere": (b'{"entries": 0, "x": [[[1, 0]]], "schema": 1, "n": 1}', 1, True),
+    "entries-twice-grid-last": (b'{"schema": 1, "n": 1, "entries": 0, "entries": [[[1, 0]]]}', 0, True),
+    "entries-twice-grid-first": (b'{"schema": 1, "n": 1, "entries": [[[1, 0]]], "entries": 0}', 1, True),
+    "cells-of-3-and-1": (_with_entries(b"[[[1, 0, 0], [0]], [[0, 0], [2, 0]]]"), 1, False),
+    "cells-of-1-and-3": (_with_entries(b"[[[1], [0, 0, 0]], [[0, 0], [2, 0]]]"), 1, False),
+    "comma-missing": (_with_entries(b"[[[1, 0] [0, 0]], [[0, 0], [2, 0]]]"), 1, False),
+    "number-after-a-cell": (_with_entries(b"[[[1, ]0]]", 1), 1, False),
+    "number-before-a-cell": (_with_entries(b"[[1[, 0]]]", 1), 1, False),
+    "number-after-a-row": (_with_entries(b"[[[1, 0], [0, 0]]3, [[0, 0], [2, ]]]"), 1, False),
+    "spaces-inside-brackets": (_with_entries(b"[ [ [1, 0], [0, 0] ], [ [ 0, 0], [2, 0 ] ] ]"), 0, False),
+    "stray-bracket-before": (b'{"schema": 1,] "n": 1, "entries": [[[1, 0]]]}', 1, True),
+    "brace-in-a-string": (_ONE[:-1] + b', "x": "{"}', 0, False),
+    "bracket-in-a-string-before": (b'{"x": "[", ' + _ONE[1:], 0, False),
+    "bracket-in-a-string-after": (_ONE[:-1] + b', "x": "]"}', 0, False),
+    "closing-bracket-in-a-string-before": (b'{"x": "]", ' + _ONE[1:], 0, True),
+    "string-1": (_with_cell('"1"'), 1, False),
+    "plus-1": (_with_cell("+1"), 1, False),
+    "point-5": (_with_cell(".5"), 1, True),
+    "leading-zero": (_with_cell("01"), 1, True),
+    "crlf-and-tabs-in-cells": (_with_entries(b"[[[1,\r\n 0], [0,\t0]], [[0\r\n, 0], [2\t, 0]]]"), 0, True),
+    "minus-zero": (_with_entries(b"[[[1, -0], [-0, -0.0]], [[-0.0, -0], [2, -0.0]]]"), 0, True),
+    "ints-from-2**64": (
+        _with_entries(b"[[[%d, 0], [%d, 0]], [[0, 0], [%d, 0]]]" % (2**64, 10**20, -(2**65) - 1)),
+        0,
+        True,
+    ),
+    "not-utf8-key": (_ONE[:-1] + b', "\xff": 1}', 1, True),
+}
+
+
+@pytest.mark.parametrize("case", list(_TRAPS))
+def test_flat_path_trap_keeps_json_load_outcome(capsys, monkeypatch, tmp_path, case):
+    raw, code, reaches_orjson = _TRAPS[case]
+    path = tmp_path / "m.json"
+    path.write_bytes(raw)
+    got, reached, reference = _analyze_both_ways(capsys, monkeypatch, path)
+    assert reached is reaches_orjson
+    assert got == reference
+    assert got[0] == code
+    _strict_json(got[1])
+
+
+@pytest.mark.parametrize(
+    "nest", [b"[" * 10**6, b'{"a": ' * 10**6 + b"1" + b"}" * 10**6], ids=["open-arrays", "closed-objects"]
+)
+def test_flat_path_million_openers_after_the_array_exit_1_without_a_crash(capsys, monkeypatch, tmp_path, nest):
+    # orjson would recurse a million deep and overflow the C stack; the child
+    # reads with the gate, the reference with json.load alone
+    path = tmp_path / "deep.json"
+    path.write_bytes(_ONE[:-1] + b', "x": ' + nest + b"}")
+    proc = subprocess.run(
+        [sys.executable, "-m", "phm", "analyze", str(path)], capture_output=True, env=_child_env(), timeout=60
+    )
+    monkeypatch.setattr(phm.cli, "_flat_matrix", lambda data: None)
+    reference = run(capsys, "analyze", str(path), parse=False)
+    assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == reference
+    assert json.loads(proc.stdout)["error"]["message"] == f"{path}: arrays or objects nested too deeply"
 
 
 @pytest.mark.parametrize(

@@ -16,11 +16,14 @@ from phm.errors import (
 )
 from phm.spectral import (
     _GAUGE_EPS,
+    _TRUSTED_BOUND,
     RawEigenpairs,
     SpectralData,
     SpectrumClassification,
     Tolerances,
     _column_norms,
+    _cond_bound,
+    _fix_column_gauge,
     assert_nondegenerate,
     check_ph_admissible,
     classify_spectrum,
@@ -402,6 +405,67 @@ _EXACT_EDGE = 2.0**-19  # eps_real * scale below, held exactly
 )
 def test_decompose_matches_reference_on_crafted_spectra(values, tol):
     _assert_matches_reference(_crafted(values), tol)
+
+
+def _conditioned(c: float) -> RawEigenpairs:
+    """The eigenpairs of S^-1 diag(-0.7, 0.1, 0.5, 0.9, 0.3 +- 0.4i) S with
+    S = U diag(geomspace(1, 1/c, 6)) W, U and W unitary: cond_S grows with c."""
+    rng = np.random.default_rng(3)
+    U, W = (np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))[0] for _ in range(2))
+    S = U @ np.diag(np.geomspace(1, 1 / c, 6)) @ W
+    return _crafted([-0.7, 0.1, 0.5, 0.9, 0.3 + 0.4j, 0.3 - 0.4j], np.linalg.inv(S))
+
+
+def _near_singular(delta: float, n: int) -> RawEigenpairs:
+    """Eigenvectors whose last column is the first plus delta times noise."""
+    rng = np.random.default_rng(n)
+    vectors = np.eye(n) + 0.3 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    vectors[:, -1] = vectors[:, 0] + delta * rng.standard_normal(n)
+    return _crafted(np.arange(1.0, n + 1), vectors)
+
+
+_COND_CASES = [_conditioned(c) for c in (1e4, 3.3e4, 1e5, 1e6, 1e7)] + [
+    _near_singular(delta, n) for delta in (1e-4, 1e-8, 1e-12, 1e-16, 0.0) for n in (2, 6)
+]
+
+
+@pytest.mark.parametrize("eig", _COND_CASES)
+def test_condition_cap_matches_reference_on_every_side_of_the_bound(eig):
+    # caps from below the exact condition number to beyond the norm bound;
+    # the cap's refusal and the singular refusal keep their precedence and text
+    V = eig.right_vectors.copy()
+    _fix_column_gauge(V)
+    kappa = float(np.linalg.cond(V))
+    caps = [1e8, math.inf]
+    if math.isfinite(kappa):
+        caps += [kappa * f for f in (0.5, 1.5, 3.0, 10.0, 30.0, 100.0, 1e4)]
+        caps += [kappa, math.nextafter(kappa, 0.0)]
+    for cap in caps:
+        _assert_matches_reference(eig, Tolerances(cond_cap=cap))
+
+
+@pytest.mark.parametrize("eig", _COND_CASES)
+def test_cond_bound_never_undercuts_the_condition_number(eig):
+    V = eig.right_vectors.copy()
+    _fix_column_gauge(V)
+    try:
+        S = np.linalg.inv(V)
+    except np.linalg.LinAlgError:
+        return
+    # wherever the bound can skip the SVD, the SVD would have accepted at any
+    # cap the bound is under by half
+    bound, kappa = _cond_bound(V, S), float(np.linalg.cond(V))
+    assert bound >= _TRUSTED_BOUND or kappa <= 2 * bound
+
+
+def test_decompose_runs_no_svd_until_cond_s_is_read(monkeypatch):
+    H = make_instance(32, 16, 8, seed=5).H
+    calls, cond = [], np.linalg.cond
+    monkeypatch.setattr(np.linalg, "cond", lambda A: calls.append(A) or cond(A))
+    sd = decompose(H)
+    assert calls == []
+    assert _bits(sd.cond_S) == _bits(cond(sd.V))
+    assert _bits(sd.cond_S) == _bits(sd.cond_S) and len(calls) == 1
 
 
 def test_decompose_keeps_the_unit_scale_error_class():

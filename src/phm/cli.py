@@ -24,12 +24,12 @@ exits with a documented code:
 
 Matrix files are JSON: {"schema": 1, "n": N, "entries": [[[re, im], ...], ...]},
 all three fields required, with N rows of N two-element [re, im] cells.
-A file is read once, as bytes. When its one array is a grid of numbers
-whose cells' brackets touch their numbers, orjson parses it with the inner
-brackets blanked out, so the entries come back as one flat list of numbers;
-whatever that gate, orjson or the document's checks refuse is parsed again
-from the same bytes by json.load, so what is refused or accepted, and every
-message, is json.load's. Complex command-line literals use a+bi form
+A file is read once, as bytes. When its one array is a grid of numbers,
+spaced or not, orjson parses it with the inner brackets blanked out, so
+the entries come back as one flat list of numbers; whatever that gate,
+orjson or the document's checks refuse is parsed again from the same
+bytes by json.load, so what is refused or accepted, and every message, is
+json.load's. Complex command-line literals use a+bi form
 ("1.5-2e-3i"); a bare real is accepted, forms with a coefficient-less i are
 rejected as ambiguous. The env var PHM_DEFAULT_TOL overrides the 1e-8
 default classification tolerances of every command that decomposes H;
@@ -334,10 +334,12 @@ def _read_matrix_file(path: str) -> np.ndarray:
     return _matrix_of_doc(_json_doc(data, path), path)
 
 
-# translate's delete table for a skeleton: the bytes of JSON numbers and whitespace
-_NUMBER_OR_SPACE = b"0123456789+-.eE \t\n\r"
-# bytes per numpy pass of _flat_doc: the temporaries of a block fit memory the
-# allocator reuses, while file-sized ones cost more in fresh pages than the pass
+# translate's delete tables: JSON whitespace, and with it the bytes of JSON numbers
+_SPACE = b" \t\n\r"
+_NUMBER_OR_SPACE = b"0123456789+-.eE" + _SPACE
+# bytes per numpy pass of _flat_doc: at n = 512 one pass over the whole array,
+# with file-sized temporaries, peaked at 114 MB against 92 MB, for no less CPU
+# (BENCH_32.json)
 _BLOCK = 1 << 17
 
 
@@ -387,26 +389,39 @@ def _grid_size(data: bytes) -> int:
 def _flat_doc(data: bytes, start: int, end: int):
     """orjson's document of ``data`` with every bracket inside the array
     from ``data[start]`` to ``data[end]`` made a space; None when orjson
-    refuses it, or when a cell's bracket does not touch its number
-    (``[1, 2]``, not ``[ 1, 2]``).
+    refuses it, or when a cell has an empty item (``[, 2]``, ``[1, ]``).
 
     Blanked brackets leave only commas between the items, so a number
     outside its cell, as in ``[[[1, ]2]]``, would fill the blank of an empty
-    item. A number starts with - or a digit and ends with a digit.
+    item. Whitespace aside, an empty item puts a comma next to a cell's
+    bracket; so the array without whitespace is searched for one only when
+    a bracket has whitespace, a comma or a + on its inner side.
     """
     text = bytearray(data)
     out, src = np.frombuffer(text, np.uint8), np.frombuffer(data, np.uint8)
+    loose = False
     for i in range(start + 1, end, _BLOCK):
         j = min(i + _BLOCK, end)
         near = src[i - 1 : j + 1]  # the block and one byte on each side
         opened, closed = near[1:-1] == ord("["), near[1:-1] == ord("]")
-        if (opened & (near[2:] < ord("-"))).any() or (closed & (near[:-2] < ord("0"))).any():
-            return None
+        loose = loose or _bare(near, opened, closed)
         np.putmask(out[i:j], opened | closed, ord(" "))
+    if loose:
+        solid = np.frombuffer(data[start : end + 1].translate(None, _SPACE), np.uint8)
+        for i in range(1, solid.size - 1, _BLOCK):
+            near = solid[i - 1 : i + _BLOCK + 1]
+            if _bare(near, near[1:-1] == ord("["), near[1:-1] == ord("]")):
+                return None
     try:
         return orjson.loads(text)
     except orjson.JSONDecodeError:
         return None
+
+
+def _bare(near: np.ndarray, opened: np.ndarray, closed: np.ndarray) -> bool:
+    """Whether a bracket of ``near[1:-1]``, at the marks of ``opened`` and
+    ``closed``, has whitespace, a comma or a + on its inner side."""
+    return bool((opened & (near[2:] <= ord(","))).any() or (closed & (near[:-2] <= ord(","))).any())
 
 
 def _json_doc(data: bytes, path: str):

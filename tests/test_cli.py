@@ -499,11 +499,14 @@ def test_read_restores_collector_state(tmp_path, case, enabled):
         (gc.enable if was else gc.disable)()
 
 
-def test_read_runs_no_collection(tmp_path):
-    # At n = 128 the document's 16 512 lists would set off 22 young and one
-    # middle collection, none of which can free anything; the document is
-    # gone before the collector resumes, so the next allocation sets off none.
+def test_read_runs_no_collection(monkeypatch, tmp_path):
+    # At n = 128 json.load's document, 16 512 lists, would set off 22 young
+    # and one middle collection, none of which can free anything; the document
+    # is gone before the collector resumes, so the next allocation sets off none.
     path = write_matrix_json(tmp_path / "h.json", make_instance(128, 64, 32, seed=1).H)
+    json_docs, json_doc = [], phm.cli._json_doc
+    monkeypatch.setattr(phm.cli, "_flat_matrix", lambda data: None)
+    monkeypatch.setattr(phm.cli, "_json_doc", lambda *args: json_docs.append(args) or json_doc(*args))
     starts = []
 
     def count(phase, info):
@@ -527,6 +530,7 @@ def test_read_runs_no_collection(tmp_path):
     finally:
         gc.callbacks.remove(count)
         (gc.enable if was else gc.disable)()
+    assert len(json_docs) == 1  # the read built json.load's document
     assert (during, after) == (0, 0)
     assert first[0].shape == (128, 128)
 
@@ -553,6 +557,19 @@ def test_orjson_path_reads_generated_files_as_json_load_does(capsys, tmp_path, n
             fast, reference = _two_readers(fh.read())
         assert fast.tobytes() == reference.tobytes()
         assert read_matrix_file(path).tobytes() == fast.tobytes()
+
+
+@pytest.mark.parametrize("layout", ["indent-1", "indent-tab", "spaced-crlf"])
+def test_orjson_path_reads_indented_files_as_json_load_does(layout):
+    # whitespace inside every bracket, as json.dump(..., indent=...) writes it
+    H = make_instance(128, 64, 32, seed=1).H
+    doc = {"schema": 1, "n": 128, "entries": [[[z.real, z.imag] for z in row] for row in H.tolist()]}
+    if layout == "spaced-crlf":
+        raw = json.dumps(doc).replace("[", "[ ").replace("]", "\r\n]").encode()
+    else:
+        raw = json.dumps(doc, indent=1 if layout == "indent-1" else "\t").encode()
+    fast, reference = _two_readers(raw)
+    assert fast.tobytes() == reference.tobytes() == H.tobytes()
 
 
 def _midpoint_literal(x: float) -> str:
@@ -668,7 +685,9 @@ _TRAPS = {
     "number-after-a-cell": (_with_entries(b"[[[1, ]0]]", 1), 1, False),
     "number-before-a-cell": (_with_entries(b"[[1[, 0]]]", 1), 1, False),
     "number-after-a-row": (_with_entries(b"[[[1, 0], [0, 0]]3, [[0, 0], [2, ]]]"), 1, False),
-    "spaces-inside-brackets": (_with_entries(b"[ [ [1, 0], [0, 0] ], [ [ 0, 0], [2, 0 ] ] ]"), 0, False),
+    "number-after-a-cell-past-spaces": (_with_entries(b"[[[1,\r\n ]0]]", 1), 1, False),
+    "number-before-a-cell-past-spaces": (_with_entries(b"[[1[\t, 0]]]", 1), 1, False),
+    "spaces-inside-brackets": (_with_entries(b"[ [ [1, 0], [0, 0] ], [ [ 0, 0], [2, 0 ] ] ]"), 0, True),
     "stray-bracket-before": (b'{"schema": 1,] "n": 1, "entries": [[[1, 0]]]}', 1, True),
     "brace-in-a-string": (_ONE[:-1] + b', "x": "{"}', 0, False),
     "bracket-in-a-string-before": (b'{"x": "[", ' + _ONE[1:], 0, False),

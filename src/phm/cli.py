@@ -28,14 +28,14 @@ A file is read once, as bytes. When its one array is a grid of numbers,
 spaced or not, orjson parses it with the inner brackets blanked out, so
 the entries come back as one flat list of numbers; whatever that gate,
 orjson or the document's checks refuse is parsed again from the same
-bytes by json.load, so what is refused or accepted, and every message, is
-json.load's. Complex command-line literals use a+bi form
-("1.5-2e-3i"); a bare real is accepted, forms with a coefficient-less i are
-rejected as ambiguous. The env var PHM_DEFAULT_TOL overrides the 1e-8
-default classification tolerances of every command that decomposes H;
-analyze's --eps-real, --eps-pair and --gap-tol flags override it for
-analyze. Each tolerance must be a finite positive number (exit 5
-otherwise).
+bytes by json.load and checked cell by cell, so what is refused or
+accepted, and every message, is json.load's. Complex command-line
+literals use a+bi form ("1.5-2e-3i"); a bare real is accepted, forms with
+a coefficient-less i are rejected as ambiguous. The env var
+PHM_DEFAULT_TOL overrides the 1e-8 default classification tolerances of
+every command that decomposes H; analyze's --eps-real, --eps-pair and
+--gap-tol flags override it for analyze. Each tolerance must be a finite
+positive number (exit 5 otherwise).
 
 stdout is always strict JSON: a number that is NaN or infinite (say, a
 figure that overflowed on entries near 1e308) is written as null. The
@@ -57,7 +57,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import gc
 import io
 import json
 import math
@@ -254,7 +253,7 @@ def _write_matrix_file(path: str, M: np.ndarray) -> None:
 
 def _cell_to_complex(cell, row: int, col: int, path: str) -> complex:
     where = f"{path}: row {row + 1}, column {col + 1}"
-    if not isinstance(cell, (list, tuple)) or len(cell) != 2:
+    if not isinstance(cell, list) or len(cell) != 2:
         raise FileFormatError(f"{where}: entry must be a two-element [re, im] array")
     re_part, im_part = cell
     if isinstance(re_part, bool) or isinstance(im_part, bool) or not all(
@@ -270,59 +269,19 @@ def _cell_to_complex(cell, row: int, col: int, path: str) -> complex:
     return z
 
 
-def _entries_array(entries: list, n: int) -> np.ndarray | None:
-    """The n x n complex array of well-formed entries, else None.
-
-    Accepts exactly what the per-cell check of ``read_matrix_file`` accepts,
-    in a few passes that run in C: n rows of n two-element cells, every
-    re/im exactly an int or a float (so no bool or str), all finite.
-    """
-    try:
-        cells = list(chain.from_iterable(entries))
-        if set(map(len, entries)) != {n} or set(map(len, cells)) != {2}:
-            return None
-        scalars = list(chain.from_iterable(cells))
-        if not set(map(type, scalars)) <= {int, float}:
-            return None
-        a = np.array(scalars, dtype=np.float64)
-    except (TypeError, OverflowError):  # a row or cell that is not a list; a huge int
-        return None
-    if not np.isfinite(a).all():
-        return None
-    return a.view(np.complex128).reshape(n, n)
-
-
 def read_matrix_file(path: str) -> np.ndarray:
     """Parse a MatrixFile JSON document into a complex square array.
 
-    The file is read once, as bytes. ``_flat_matrix`` parses most files with
-    orjson, which is faster than the json module and rounds every number
-    literal to the same double. Anything it does not take is parsed again
-    from the same bytes by ``json.load`` as a UTF-8 text file and checked
-    cell by cell: every refusal keeps its message, a pipe is not read twice,
-    and what only the json module takes in a key phm does not read (a NaN
-    or Infinity literal, a number beyond the double range, a lone
-    surrogate) is accepted as before. So the bytes are kept until the array
-    is made.
-
-    The cyclic garbage collector is paused while the file is parsed and
-    converted. json.load's document holds one list per row and per cell
-    (16 512 at n = 128) and no reference cycle, so each collection that
-    those allocations would trigger walks the tree and frees nothing. The
-    document is released before the collector is turned back on, and only
-    if it was on when the call began. The pause is process-wide: no cyclic
-    collection runs in any thread while this call runs.
+    The file is read once, as bytes, by one of two paths. ``_flat_matrix``,
+    the fast one, parses every file phm or json.dump writes with orjson,
+    which is faster than the json module and rounds every number literal to
+    the same double. Anything it does not take is parsed again from the same
+    bytes by ``json.load``, as a UTF-8 text file, and checked cell by cell.
+    That is the reference path: every refusal is worded there and stops at
+    the first bad cell, a pipe is not read twice, and what only the json
+    module takes in a key phm does not read (a NaN or Infinity literal, a
+    number beyond the double range, a lone surrogate) is accepted.
     """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return _read_matrix_file(path)
-    finally:
-        if enabled:
-            gc.enable()
-
-
-def _read_matrix_file(path: str) -> np.ndarray:
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -451,10 +410,6 @@ def _matrix_of_doc(doc, path: str) -> np.ndarray:
     entries = doc.get("entries")
     if not isinstance(entries, list) or len(entries) != n:
         raise FileFormatError(f"{path}: 'entries' must be an array of {n} rows")
-    M = _entries_array(entries, n)
-    if M is not None:
-        return M
-    # Rejected: the per-cell pass names the first bad cell.
     M = np.empty((n, n), dtype=np.complex128)
     for i, row in enumerate(entries):
         if not isinstance(row, list) or len(row) != n:

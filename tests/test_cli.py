@@ -499,42 +499,6 @@ def test_read_restores_collector_state(tmp_path, case, enabled):
         (gc.enable if was else gc.disable)()
 
 
-def test_read_runs_no_collection(monkeypatch, tmp_path):
-    # At n = 128 json.load's document, 16 512 lists, would set off 22 young
-    # and one middle collection, none of which can free anything; the document
-    # is gone before the collector resumes, so the next allocation sets off none.
-    path = write_matrix_json(tmp_path / "h.json", make_instance(128, 64, 32, seed=1).H)
-    json_docs, json_doc = [], phm.cli._json_doc
-    monkeypatch.setattr(phm.cli, "_flat_matrix", lambda data: None)
-    monkeypatch.setattr(phm.cli, "_json_doc", lambda *args: json_docs.append(args) or json_doc(*args))
-    starts = []
-
-    def count(phase, info):
-        if phase == "start":
-            starts.append(info["generation"])
-
-    was = gc.isenabled()
-    gc.enable()
-    gc.callbacks.append(count)
-    try:
-        gc.collect()
-        starts.clear()
-        M = read_matrix_file(path)
-        during = len(starts)
-        first = [M]
-        # up to 3.11 a due collection runs at the allocation itself; from 3.12
-        # on it runs at the next eval-breaker check, which a backward jump makes
-        for _ in range(2):
-            pass
-        after = len(starts) - during
-    finally:
-        gc.callbacks.remove(count)
-        (gc.enable if was else gc.disable)()
-    assert len(json_docs) == 1  # the read built json.load's document
-    assert (during, after) == (0, 0)
-    assert first[0].shape == (128, 128)
-
-
 # ------------------------------------------ orjson's path against json.load's
 
 

@@ -212,6 +212,7 @@ def test_spectrum_map_keeps_the_answers(name, split, seed):
         # imaginary coefficient of 4.7e-2 and 1.1e-6, from rounding alone
         (GeneratorConfig(n=128, r=0, p=64, seed=2000, min_gap_target=1e-4), "H + 1e3 max|H| I"),
         (GeneratorConfig(n=256, r=128, p=64, seed=1), "2**500 H"),
+        (GeneratorConfig(n=512, r=256, p=128, seed=1), "H + 1e3 max|H| I"),
     ],
 )
 def test_spectrum_map_keeps_the_answers_on_large_instances(config, name):

@@ -616,13 +616,13 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     H = read_matrix_file(args.path)
-    basis = hermitian_basis(H.shape[0])  # enforces the dense-solve cap
+    hermitian_basis(H.shape[0])  # enforces the dense-solve cap before decomposition
     try:
         sd = decompose(H, tol=_tolerances(args))
     except DegenerateSpectrumError as exc:
         # Still report the kernel: its dimension exceeding n is exactly why
         # degenerate spectra are outside the family's reach.
-        report = solution_space(H, basis=basis)
+        report = solution_space(H)
         _emit_error(
             exc,
             extra={
@@ -631,7 +631,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
             },
         )
         return EXIT_DEGENERATE
-    report = solution_space(H, basis=basis)
+    report = solution_space(H)
     doc = {
         "schema": 1,
         "n": sd.n,
@@ -644,7 +644,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         else None,
     }
     try:
-        match = family_vs_kernel(sd, report, basis=basis)
+        match = family_vs_kernel(sd, report)
     except FamilyMismatchError as exc:
         doc["error"] = {"type": type(exc).__name__, "message": str(exc)}
         _emit(doc)

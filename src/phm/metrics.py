@@ -189,13 +189,10 @@ def intertwining_residual(H, M, check_hermitian: bool = True) -> float:
     return frobenius(R) / den
 
 
-def build_M(sd: SpectralData, params: MetricParameters) -> MetricResult:
-    """Map family parameters to a metric for sd's matrix: M = S^dagger m S.
+def family_member(sd: SpectralData, params: MetricParameters) -> np.ndarray:
+    """M = S^dagger m S, hermitian-symmetrized, with no verdict on it (see build_M).
 
-    The result is hermitian-symmetrized. Its inertia is verify's, measured
-    on M at unit scale, and an M with a null eigenvalue raises ParameterError.
-    The residual is taken against the matrix the decomposition was built
-    from, on that same unit-scaled M.
+    Raises ParameterError when the parameter counts do not match sd or M overflows.
     """
     if (params.r, params.p) != (sd.r, sd.p):
         raise ParameterError(
@@ -211,6 +208,17 @@ def build_M(sd: SpectralData, params: MetricParameters) -> MetricResult:
         raise ParameterError(
             f"M = S^dagger m S overflows at max |mu| = {mu:.3e}, max |tau| = {tau:.3e}"
         )
+    return M
+
+
+def build_M(sd: SpectralData, params: MetricParameters) -> MetricResult:
+    """Map family parameters to a metric for sd's matrix: M = family_member(sd, params).
+
+    Its inertia is verify's, measured on M at unit scale, and an M with a
+    null eigenvalue raises ParameterError. The residual is taken against
+    the matrix the decomposition was built from, on that same unit-scaled M.
+    """
+    M = family_member(sd, params)
     unit = unit_scaled(M)  # as verify reads it back; hermitian by construction
     inertia = inertia_of_matrix(unit, check_hermitian=False)
     if inertia[2]:

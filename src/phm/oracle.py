@@ -10,9 +10,10 @@ steps of inverse iteration on L^T L through the triangular factor of a
 Householder QR of L. The kernel is compared against the family both
 ways (family members project into the kernel; kernel elements are
 reproduced by least-squares parameter fits), and that two-way check
-certifies the basis. This path shares no code with the family
-construction beyond the basis helpers, which is the point: it is a
-desk-scale verifier, capped at n <= 32.
+certifies the basis. The kernel, from L alone, shares no code with the
+family construction; the members it is compared with are not independent,
+they are built by that construction (:func:`phm.metrics.family_member`).
+A desk-scale verifier, capped at n <= 32.
 
 Costs: coordinates are read and written by index, so the request path
 never forms the (n^2, n, n) basis tensor. The operator is assembled from
@@ -25,6 +26,7 @@ plus matrix products, O(n^4 dim) time).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -32,7 +34,7 @@ import numpy as np
 
 from .errors import DimensionError, EnumerationCapError, FamilyMismatchError
 from .matrices import as_square_matrix, lock, times_power_of_two, unit_exponent
-from .metrics import build_M
+from .metrics import family_member
 from .spectral import SpectralData
 
 ORACLE_DIM_CAP = 32
@@ -59,10 +61,7 @@ class HermitianBasis:
     def __post_init__(self):
         if self.n < 1:
             raise DimensionError("basis dimension must be >= 1")
-        if self.n > ORACLE_DIM_CAP:
-            raise EnumerationCapError(
-                f"dense solve is capped at n <= {ORACLE_DIM_CAP}, got n = {self.n}"
-            )
+        _check_cap(self.n)
 
     @property
     def dim(self) -> int:
@@ -71,7 +70,7 @@ class HermitianBasis:
     @cached_property
     def elements(self) -> np.ndarray:
         """The basis matrices, shape (n*n, n, n), built on first access."""
-        return lock(matrix_from_coords(self, np.eye(self.dim)))
+        return lock(matrix_from_coords(np.eye(self.dim)))
 
 
 @dataclass(frozen=True)
@@ -115,19 +114,18 @@ def hermitian_basis(n: int) -> HermitianBasis:
     return HermitianBasis(n=n)
 
 
-def _check_size(basis: HermitianBasis, n: int) -> None:
-    if basis.n != n:
-        raise DimensionError(f"basis dimension {basis.n} does not match matrix {n}")
+def _check_cap(n: int) -> None:
+    if n > ORACLE_DIM_CAP:
+        raise EnumerationCapError(f"dense solve is capped at n <= {ORACLE_DIM_CAP}, got n = {n}")
 
 
-def hermitian_coords(basis: HermitianBasis, M) -> np.ndarray:
+def hermitian_coords(M) -> np.ndarray:
     """Real coordinates Re Tr(E_a M), read by index; M may be a stack (..., n, n).
 
     For hermitian M these are its expansion coefficients over the basis.
     """
     M = np.asarray(M, dtype=np.complex128)
-    n = basis.n
-    _check_size(basis, M.shape[-1])
+    n = M.shape[-1]
     k, l = np.triu_indices(n, 1)
     upper, lower = M[..., k, l], M[..., l, k]
     x = np.empty(M.shape[:-2] + (n * n,))
@@ -137,10 +135,12 @@ def hermitian_coords(basis: HermitianBasis, M) -> np.ndarray:
     return x
 
 
-def matrix_from_coords(basis: HermitianBasis, x) -> np.ndarray:
+def matrix_from_coords(x) -> np.ndarray:
     """Reassemble sum_a x_a E_a, exactly hermitian; x may be a stack (..., n*n)."""
     x = np.asarray(x, dtype=np.float64)
-    n = basis.n
+    n = math.isqrt(x.shape[-1])
+    if n * n != x.shape[-1]:
+        raise DimensionError(f"{x.shape[-1]} coordinates are not n^2 for any integer n")
     k, l = np.triu_indices(n, 1)
     M = np.zeros(x.shape[:-1] + (n, n), dtype=np.complex128)
     M[..., np.arange(n), np.arange(n)] = x[..., :n]
@@ -150,7 +150,7 @@ def matrix_from_coords(basis: HermitianBasis, x) -> np.ndarray:
     return M
 
 
-def intertwining_operator_matrix(H, basis: HermitianBasis | None = None) -> np.ndarray:
+def intertwining_operator_matrix(H) -> np.ndarray:
     """Real matrix of M -> -i (H^dagger M - M H) in hermitian coordinates.
 
     The image of a hermitian matrix is hermitian again, so column b holds
@@ -165,9 +165,7 @@ def intertwining_operator_matrix(H, basis: HermitianBasis | None = None) -> np.n
     """
     H = as_square_matrix(H, name="H")
     n = H.shape[0]
-    if basis is None:
-        basis = hermitian_basis(n)
-    _check_size(basis, n)
+    _check_cap(n)
     N = n * n
     d = np.arange(n)
     k, l = np.triu_indices(n, 1)
@@ -216,7 +214,7 @@ def _solve_upper(R, B):
     return np.concatenate([X1, X2])
 
 
-def solution_space(H, basis: HermitianBasis | None = None) -> KernelReport:
+def solution_space(H) -> KernelReport:
     """All hermitian solutions of the intertwining equation.
 
     The kernel dimension is the number of singular values of the operator
@@ -257,11 +255,9 @@ def solution_space(H, basis: HermitianBasis | None = None) -> KernelReport:
     value, a change no larger than the QR's own rounding error.
     """
     H = as_square_matrix(H, name="H")
-    if basis is None:
-        basis = hermitian_basis(H.shape[0])
     shift = unit_exponent(H, keep=500)
     H = times_power_of_two(H, -shift)
-    L = intertwining_operator_matrix(H, basis=basis)
+    L = intertwining_operator_matrix(H)
     s = np.linalg.svd(L, compute_uv=False)
     smax = float(s[0])
     eps = np.finfo(np.float64).eps
@@ -284,7 +280,7 @@ def solution_space(H, basis: HermitianBasis | None = None) -> KernelReport:
             Z = _solve_upper(R.T[::-1, ::-1], X[::-1])[::-1]
             X = np.linalg.qr(_solve_upper(R, Z))[0]
         coords = X.T
-    kernel = matrix_from_coords(basis, coords)
+    kernel = matrix_from_coords(coords)
     s_asc = s[::-1]
     if dim == 0 or dim == s_asc.size or s_asc[dim - 1] == 0.0:
         gap = np.inf
@@ -295,7 +291,7 @@ def solution_space(H, basis: HermitianBasis | None = None) -> KernelReport:
     return KernelReport(dimension=dim, basis=kernel, singular_values=s_asc, gap_ratio=gap)
 
 
-def _family_design_matrix(sd: SpectralData, basis: HermitianBasis) -> np.ndarray:
+def _family_design_matrix(sd: SpectralData) -> np.ndarray:
     """Coordinates of the family's generating directions, one column each.
 
     Directions are d M / d mu_i and the two real directions of each tau_s,
@@ -312,7 +308,7 @@ def _family_design_matrix(sd: SpectralData, basis: HermitianBasis) -> np.ndarray
     up, down = outer(k, k + 1), outer(k + 1, k)
     pairs = np.stack([up + down, -1j * (up - down)], axis=1).reshape(2 * sd.p, sd.n, sd.n)
     reals = outer(np.arange(sd.r), np.arange(sd.r))
-    return hermitian_coords(basis, np.concatenate([reals, pairs])).T
+    return hermitian_coords(np.concatenate([reals, pairs])).T
 
 
 def _max_relative_defect(defects: np.ndarray, vectors: np.ndarray, axis: int) -> float:
@@ -325,18 +321,16 @@ def family_vs_kernel(
     report: KernelReport,
     n_samples: int = 10,
     seed: int = 0,
-    basis: HermitianBasis | None = None,
 ) -> FamilyKernelMatch:
     """Check that the parametrized family and the kernel span the same space.
 
-    Both inclusions are tested: random family members must project into
-    the kernel span with negligible defect, and every kernel basis
-    element must be reproduced by a least-squares fit of the family
-    parameters (one ``lstsq`` over all of them). A kernel dimension
-    different from r + 2p aborts with an error, since the family then
-    cannot possibly be complete. ``basis``, if given, must be
-    ``hermitian_basis(sd.n)``, e.g. the one passed to
-    :func:`solution_space`.
+    Both inclusions are tested: random family members, from
+    :func:`phm.metrics.family_member` (no inertia or residual is taken),
+    must project into the kernel span with negligible defect, and every
+    kernel basis element must be reproduced by a least-squares fit of
+    the family parameters (one ``lstsq`` over all of them). A kernel
+    dimension different from r + 2p aborts with an error, since the
+    family then cannot possibly be complete.
     """
     from .generators import random_parameters  # deferred: generators imports metrics
 
@@ -346,18 +340,15 @@ def family_vs_kernel(
             f"kernel dimension {report.dimension} != r + 2p = {n}; the "
             "spectrum may be (near-)degenerate or the input inadmissible"
         )
-    if basis is None:
-        basis = hermitian_basis(n)
-    _check_size(basis, n)
-    K = hermitian_coords(basis, report.basis)  # (n, n^2), orthonormal rows
+    K = hermitian_coords(report.basis)  # (n, n^2), orthonormal rows
 
     members = [
-        build_M(sd, random_parameters(sd.r, sd.p, seed=seed + k)).M for k in range(n_samples)
+        family_member(sd, random_parameters(sd.r, sd.p, seed=seed + k)) for k in range(n_samples)
     ]
-    X = hermitian_coords(basis, np.reshape(members, (n_samples, n, n)))
+    X = hermitian_coords(np.reshape(members, (n_samples, n, n)))
     max_proj = _max_relative_defect(X - (X @ K.T) @ K, X, axis=1)
 
-    A = _family_design_matrix(sd, basis)
+    A = _family_design_matrix(sd)
     c, *_ = np.linalg.lstsq(A, K.T, rcond=None)
     max_rec = _max_relative_defect(A @ c - K.T, K.T, axis=0)
 

@@ -25,7 +25,6 @@ from phm import (
     enumerate_classes,
     family_vs_kernel,
     gauge_absorb,
-    hermitian_basis,
     hermitian_coords,
     inertia_of_matrix,
     inertia_of_params,
@@ -248,11 +247,10 @@ def test_criterion_8_golden_fixtures():
 
     # oracle confirmation: both lie in the brute-force kernel span
     report = solution_space(ROT2)
-    basis = hermitian_basis(2)
-    K = np.stack([hermitian_coords(basis, B) for B in report.basis])
+    K = hermitian_coords(report.basis)
     proj = 0.0
     for M in (SIGMA_Z, SIGMA_X):
-        x = hermitian_coords(basis, M)
+        x = hermitian_coords(M)
         proj = max(proj, float(np.linalg.norm(x - K.T @ (K @ x))))
     _report(
         8,

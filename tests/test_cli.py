@@ -1417,6 +1417,7 @@ def _count_calls(monkeypatch, counts, module, name):
 )
 def test_one_read_and_eigendecomposition_per_request(capsys, monkeypatch, rot_file, argv):
     import phm.cli
+    import phm.metrics
     import phm.oracle
     import phm.spectral
 
@@ -1427,6 +1428,7 @@ def test_one_read_and_eigendecomposition_per_request(capsys, monkeypatch, rot_fi
         (phm.spectral, "eigendecompose"),
         (phm.cli, "hermitian_basis"),
         (phm.oracle, "hermitian_basis"),
+        (phm.metrics, "inertia_of_matrix"),
     ]:
         _count_calls(monkeypatch, counts, module, name)
     code, _, _ = run(capsys, argv[0], rot_file, *argv[1:])
@@ -1434,6 +1436,8 @@ def test_one_read_and_eigendecomposition_per_request(capsys, monkeypatch, rot_fi
     assert counts["read_matrix_file"] == 1
     assert counts["eigendecompose"] == 1
     assert counts.get("hermitian_basis", 0) == (1 if argv[0] == "oracle" else 0)
+    # the metric's own verdict: once for the metric a request prints, never for oracle's members
+    assert counts.get("inertia_of_matrix", 0) == (1 if argv[0] in ("metric", "canonical") else 0)
 
 
 def _strict_loads(text):

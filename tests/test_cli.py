@@ -1,5 +1,7 @@
+import argparse
 import dataclasses
 import gc
+import importlib.util
 import io
 import json
 import math
@@ -12,6 +14,7 @@ import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from decimal import Decimal, localcontext
 from itertools import chain, product, repeat
+from unittest import mock
 
 import numpy as np
 import orjson
@@ -20,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import phm
+import phm.cli
 from conftest import DIAG12, ROT2, make_instance, write_matrix_json
 from phm.cli import (
     _flat_matrix,
@@ -28,6 +32,7 @@ from phm.cli import (
     _Lines,
     _matrix_doc,
     _matrix_of_doc,
+    _plain_args,
     _write_doc,
     _write_matrix_file,
     build_parser,
@@ -1566,7 +1571,7 @@ def test_generate_negative_seed_exits_5(capsys, tmp_path, mode):
     assert not list(tmp_path.glob("x_*"))
 
 
-# ---------------------------------------------- one subcommand's parser
+# ------------------------------------- the plain pass and argparse's path
 
 
 COMMANDS = ("analyze", "metric", "canonical", "enumerate", "oracle", "generate", "verify")
@@ -1581,31 +1586,119 @@ def _help_text(capsys, parser, command):
 
 @pytest.mark.parametrize("command", COMMANDS)
 def test_one_command_parser_help_matches_full(capsys, monkeypatch, command):
+    # help is never plain: main prints argparse's text
     monkeypatch.setenv("COLUMNS", "80")
     full = _help_text(capsys, build_parser(), command)
     assert full.startswith(f"usage: phm {command} ")
-    assert _help_text(capsys, build_parser(command), command) == full
+    assert _plain_args([command, "--help"]) is None
+    assert run(capsys, command, "--help", parse=False) == (0, full, "")
+
+
+_PLAIN_ARGVS = [
+    ["analyze", "h.json"],
+    ["analyze", "h.json", "--eps-real", "1e-6", "--eps-pair=2e-7", "--gap-tol", "1e-3"],
+    ["metric", "h.json", "--mu", "1,-2", "--tau=0.5-1e-2i"],
+    ["metric", "h.json"],
+    ["canonical", "h.json", "--signs", "+,-", "--n", "0", "--theta", "1.5"],
+    ["enumerate", "h.json"],
+    ["enumerate", "h.json", "--no-mod-global"],
+    ["oracle", "h.json"],
+    ["generate", "--n", "4", "--r", "2", "--p", "1", "--seed", "1", "--out", "x"],
+    ["generate", "--mode", "observable", "--metric", "m.json", "--seed", "3",
+     "--out", "y", "--cond-max", "10"],
+    ["verify", "h.json", "m.json"],
+    ["metric", "h.json", "--mu=1", "--mu", "2"],
+    ["metric", "", "--mu=", "--tau", ""],
+    ["analyze", "--gap-tol", "1e-3", "h.json"],
+    ["generate", "--seed=-1", "--out=-o", "--mode=observable"],
+]
+
+
+@pytest.mark.parametrize("argv", _PLAIN_ARGVS)
+def test_one_command_parser_parses_like_full(argv):
+    # the plain pass takes the argv and gives argparse's Namespace
+    args = _plain_args(argv)
+    assert args is not None
+    assert vars(args) == vars(build_parser().parse_args(argv))
 
 
 @pytest.mark.parametrize(
     "argv",
     [
-        ["analyze", "h.json"],
-        ["analyze", "h.json", "--eps-real", "1e-6", "--eps-pair=2e-7", "--gap-tol", "1e-3"],
-        ["metric", "h.json", "--mu", "1,-2", "--tau=0.5-1e-2i"],
-        ["metric", "h.json"],
-        ["canonical", "h.json", "--signs", "+,-", "--n", "0", "--theta", "1.5"],
-        ["enumerate", "h.json"],
-        ["enumerate", "h.json", "--no-mod-global"],
-        ["oracle", "h.json"],
-        ["generate", "--n", "4", "--r", "2", "--p", "1", "--seed", "1", "--out", "x"],
-        ["generate", "--mode", "observable", "--metric", "m.json", "--seed", "3",
-         "--out", "y", "--cond-max", "10"],
-        ["verify", "h.json", "m.json"],
+        ["analyze", "-"],
+        ["analyze", "--", "h.json"],
+        ["analyze", "h.json", "-h"],
+        ["analyze", "h.json", "--eps-r", "1e-6"],
+        ["metric", "h.json", "--mu", "-1"],
+        ["metric", "h.json", "--mu=--"],
+        ["enumerate", "h.json", "--no-mod-global="],
+        ["generate", "--n", "x", "--n", "2", "--seed", "1", "--out", "o"],
+        ["generate", "--seed", "1"],
     ],
 )
-def test_one_command_parser_parses_like_full(argv):
-    assert vars(build_parser(argv[0]).parse_args(argv)) == vars(build_parser().parse_args(argv))
+def test_unusual_spellings_are_left_to_argparse(argv):
+    # argparse takes some of these, in ways the plain pass does not model
+    assert _plain_args(argv) is None
+
+
+def _workload_argvs(monkeypatch):
+    """The argv of every request of the benchmark's four workloads at seeds 1 and 2."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "benchmark", "workloads.py")
+    spec = importlib.util.spec_from_file_location("benchmark_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up there
+    spec.loader.exec_module(workloads)
+    return [
+        list(req.argv)
+        for name in workloads.WORKLOADS
+        for seed in (1, 2)
+        for req in workloads.build(name, seed, "work").requests
+    ]
+
+
+def test_plain_pass_takes_every_workload_argv(monkeypatch):
+    argvs = _workload_argvs(monkeypatch)
+    assert len(argvs) == 612
+    for argv in argvs:
+        args = _plain_args(argv)
+        assert args is not None, argv
+        assert vars(args) == vars(build_parser().parse_args(argv)), argv
+
+
+def test_plain_argv_builds_no_parser(capsys, monkeypatch, tmp_path):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built an argparse parser")
+
+    phm.cli.build_parser.cache_clear()
+    phm.cli._argument_table.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse)
+    path = write_matrix_json(tmp_path / "h.json", DIAG12)
+    out = str(tmp_path / "inst")
+    for argv in (
+        ["analyze", path, "--eps-real=1e-6"],
+        ["metric", path, "--mu", "1,-1"],
+        ["canonical", path, "--signs=+,-"],
+        ["enumerate", path, "--no-mod-global"],
+        ["oracle", path],
+        ["generate", "--n", "2", "--r", "2", "--p", "0", "--seed", "1", "--out", out],
+        ["verify", out + "_H.json", out + "_M.json"],
+    ):
+        assert run(capsys, *argv)[0] == 0, argv
+
+
+def test_argument_table_refuses_what_it_does_not_model():
+    # argparse would read these in ways the plain pass does not
+    table = phm.cli._ArgumentTable()
+    for name, spec in [
+        ("--k", {"nargs": "+"}),
+        ("--k", {"action": "append"}),
+        ("--k", {"dest": "other"}),
+        ("-k", {}),
+        ("--k", {"type": int, "default": "1"}),
+    ]:
+        with pytest.raises(TypeError):
+            table.add_argument(name, **spec)
+    assert not table.flags and not table.positionals
 
 
 @pytest.mark.parametrize(
@@ -1624,23 +1717,23 @@ def test_one_command_parser_parses_like_full(argv):
         ["enumerate", "h.json", "extra"],
     ],
 )
-def test_usage_errors_match_full_parser(capsys, monkeypatch, argv):
-    import phm.cli
-
-    selective = run(capsys, *argv, parse=False)
-    full_parser = phm.cli.build_parser
-    monkeypatch.setattr(phm.cli, "build_parser", lambda command=None: full_parser())
-    assert run(capsys, *argv, parse=False) == selective
-    assert selective[0] == 1
-    assert _strict_loads(selective[1])["error"]["type"] == "UsageError"
+def test_usage_errors_match_full_parser(capsys, argv):
+    # a refusal is never plain: argparse words it
+    assert _plain_args(argv) is None
+    code, out, err = run(capsys, *argv, parse=False)
+    assert code == 1
+    assert _strict_loads(out)["error"]["type"] == "UsageError"
+    assert err.startswith("phm") and ": error: " in err
 
 
 def test_cached_parser_matches_a_fresh_one(capsys, monkeypatch, tmp_path):
-    # One process reuses each command's parser; nothing a call reads
-    # (help width, PHM_DEFAULT_TOL) or an earlier error may stick to it.
+    # One process reuses the parser and each command's argument table;
+    # nothing a call reads (help width, PHM_DEFAULT_TOL) or an earlier error
+    # may stick to them.
     import phm.cli
 
-    assert build_parser("analyze") is build_parser("analyze")
+    assert build_parser() is build_parser()
+    assert phm.cli._argument_table("analyze") is phm.cli._argument_table("analyze")
     path = write_matrix_json(tmp_path / "near.json", np.diag([1.0, 1.0 + 1e-5]))
     steps = [
         ({}, ["metric", path, "--bogus"]),
@@ -1662,6 +1755,7 @@ def test_cached_parser_matches_a_fresh_one(capsys, monkeypatch, tmp_path):
 
     cached = run_steps()
     monkeypatch.setattr(phm.cli, "build_parser", build_parser.__wrapped__)
+    monkeypatch.setattr(phm.cli, "_argument_table", phm.cli._argument_table.__wrapped__)
     assert run_steps() == cached
     assert [code for code, _, _ in cached] == [1, 0, 0, 0, 3]
     assert cached[1][1] != cached[2][1]
@@ -1700,13 +1794,10 @@ def contract_dir(tmp_path_factory):
     return root
 
 
-@settings(deadline=None, max_examples=300)
-@given(data=st.data())
-def test_cli_contract(contract_dir, data):
-    # Every call prints one strict-JSON document, exits with a documented
-    # code and raises no exception; a call that exits 0 says nothing on
-    # stderr and raises no warning. Paths are relative to contract_dir.
-    wild = data.draw(st.booleans())  # then any token may be junk
+def _contract_argv(data) -> list[str]:
+    """A command, mostly its own arguments and values; in a wild draw any
+    token may be junk. Paths are relative to contract_dir."""
+    wild = data.draw(st.booleans())
 
     def pick(values):
         return data.draw(st.one_of(values, _ANY) if wild else values)
@@ -1718,9 +1809,14 @@ def test_cli_contract(contract_dir, data):
             argv += [flag] if values is None else [flag, pick(values)]
     if wild:
         argv += data.draw(st.lists(_ANY, max_size=1))
+    return argv
+
+
+def _run_in(directory, argv):
+    """Exit code, stdout, stderr and the warnings raised of main(argv) run in ``directory``."""
     out, err = io.StringIO(), io.StringIO()
     cwd = os.getcwd()
-    os.chdir(contract_dir)
+    os.chdir(directory)
     try:
         with redirect_stdout(out), redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -1730,11 +1826,33 @@ def test_cli_contract(contract_dir, data):
                 code = exc.code
     finally:
         os.chdir(cwd)
+    return code, out.getvalue(), err.getvalue(), caught
+
+
+@settings(deadline=None, max_examples=300)
+@given(data=st.data())
+def test_cli_contract(contract_dir, data):
+    # Every call prints one strict-JSON document, exits with a documented
+    # code and raises no exception; a call that exits 0 says nothing on
+    # stderr and raises no warning.
+    argv = _contract_argv(data)
+    code, out, err, caught = _run_in(contract_dir, argv)
     assert code in range(9), argv
-    _strict_loads(out.getvalue())
-    assert "Traceback" not in err.getvalue(), argv
+    _strict_loads(out)
+    assert "Traceback" not in err, argv
     if code == 0:
-        assert err.getvalue() == "" and not caught, (argv, [str(w.message) for w in caught])
+        assert err == "" and not caught, (argv, [str(w.message) for w in caught])
+
+
+@settings(deadline=None, max_examples=150)
+@given(data=st.data())
+def test_plain_pass_changes_no_output(contract_dir, data):
+    # the same exit code, stdout and stderr with the plain pass and with
+    # argparse parsing every argv
+    argv = _contract_argv(data)
+    plain = _run_in(contract_dir, argv)[:3]
+    with mock.patch.object(phm.cli, "_plain_args", lambda argv: None):
+        assert _run_in(contract_dir, argv)[:3] == plain, argv
 
 
 def _child_env() -> dict:

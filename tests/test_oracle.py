@@ -1,4 +1,6 @@
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
@@ -319,6 +321,47 @@ def test_oracle_accepts_generated_1x1(capsys, tmp_path, seed):
     capsys.readouterr()
     assert cli.main(["oracle", out + "_H.json"]) == 0
     assert json.loads(capsys.readouterr().out)["kernel_dimension"] == 1
+
+
+def _cli_doc(argv):
+    """Exit code and stdout document of one in-process call."""
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    return code, json.loads(out.getvalue())
+
+
+@pytest.mark.parametrize("c", [1.0, 10.0, 1e3])
+def test_oracle_accepts_upper_triangular_2x2(tmp_path, c):
+    # zero columns early in L floored three diagonal entries of an unordered
+    # QR's R for a kernel of two, and the basis missed the kernel (exit 8)
+    H = np.array([[1.0, c], [0.0, 2.0]])
+    code, doc = _cli_doc(["oracle", write_matrix_json(tmp_path / "h.json", H)])
+    assert code == 0, doc
+    assert doc["kernel_dimension"] == 2
+    assert max(doc["max_projection_defect"], doc["max_recovery_defect"]) <= 1e-12
+    assert _projector_distance(H, solution_space(H)) <= 1e-9
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_oracle_accepts_what_analyze_accepts_on_triangular_matrices(tmp_path_factory, data):
+    # a distinct real diagonal and, unless H is diagonal, a strictly upper part up to 1e3
+    n = data.draw(st.integers(1, 6))
+    diagonal = data.draw(st.lists(st.floats(-10, 10), min_size=n, max_size=n, unique=True))
+    H = np.diag(diagonal).astype(complex)
+    if data.draw(st.booleans()):
+        k, l = np.triu_indices(n, 1)
+        real = data.draw(st.booleans())
+        upper = st.floats(-1e3, 1e3) if real else st.complex_numbers(max_magnitude=1e3, allow_infinity=False)
+        H[k, l] = data.draw(st.lists(upper, min_size=k.size, max_size=k.size))
+    path = write_matrix_json(tmp_path_factory.mktemp("triangular") / "h.json", H)
+    code, doc = _cli_doc(["analyze", path])
+    if code != 0 or doc["cond_S"] > 1e3:
+        return
+    code, doc = _cli_doc(["oracle", path])
+    assert code == 0, (H, doc)
+    assert _projector_distance(H, solution_space(H)) <= 1e-9
 
 
 # ------------------------------------------- triangular solves by halves

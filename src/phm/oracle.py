@@ -8,11 +8,12 @@ compatible metrics. The rank is decided on the singular values of L
 alone (no singular vectors are formed); the kernel basis comes from two
 steps of inverse iteration on L^T L through the triangular factor of a
 Householder QR of L. The kernel is compared against the family both
-ways (family members project into the kernel; kernel elements are
-reproduced by least-squares parameter fits), and that two-way check
-certifies the basis. The kernel, from L alone, shares no code with the
-family construction; the members it is compared with are not independent,
-they are built by that construction (:func:`phm.metrics.family_member`).
+ways on n family members (the members project into the kernel; kernel
+elements are reproduced by least-squares combinations of the members),
+and that two-way check certifies the basis. The kernel, from L alone,
+shares no code with the family construction; the members it is compared
+with are not independent, they are built by that construction
+(:func:`phm.metrics.family_member`), the only one the oracle reads.
 A desk-scale verifier, capped at n <= 32.
 
 Costs: coordinates are read and written by index, so the request path
@@ -33,6 +34,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionError, EnumerationCapError, FamilyMismatchError
+from .generators import random_parameters
 from .matrices import as_square_matrix, lock, times_power_of_two, unit_exponent
 from .metrics import family_member
 from .spectral import SpectralData
@@ -299,49 +301,26 @@ def solution_space(H) -> KernelReport:
     return KernelReport(dimension=dim, basis=kernel, singular_values=s_asc, gap_ratio=gap)
 
 
-def _family_design_matrix(sd: SpectralData) -> np.ndarray:
-    """Coordinates of the family's generating directions, one column each.
-
-    Directions are d M / d mu_i and the two real directions of each tau_s,
-    i.e. S^dagger B S for B a diagonal unit, a pair sigma_x block or a
-    pair sigma_y block. S^dagger e_i e_j^T S is the outer product of the
-    conjugate of row i of S with row j.
-    """
-    S = sd.S
-
-    def outer(i, j):
-        return S[i].conj()[:, :, None] * S[j][:, None, :]
-
-    k = sd.r + 2 * np.arange(sd.p)
-    up, down = outer(k, k + 1), outer(k + 1, k)
-    pairs = np.stack([up + down, -1j * (up - down)], axis=1).reshape(2 * sd.p, sd.n, sd.n)
-    reals = outer(np.arange(sd.r), np.arange(sd.r))
-    return hermitian_coords(np.concatenate([reals, pairs])).T
-
-
 def _max_relative_defect(defects: np.ndarray, vectors: np.ndarray, axis: int) -> float:
     ratios = np.linalg.norm(defects, axis=axis) / np.linalg.norm(vectors, axis=axis)
     return float(np.max(ratios, initial=0.0))
 
 
-def family_vs_kernel(
-    sd: SpectralData,
-    report: KernelReport,
-    n_samples: int = 10,
-    seed: int = 0,
-) -> FamilyKernelMatch:
+def family_vs_kernel(sd: SpectralData, report: KernelReport, seed: int = 0) -> FamilyKernelMatch:
     """Check that the parametrized family and the kernel span the same space.
 
-    Both inclusions are tested: random family members, from
-    :func:`phm.metrics.family_member` (no inertia or residual is taken),
-    must project into the kernel span with negligible defect, and every
-    kernel basis element must be reproduced by a least-squares fit of
-    the family parameters (one ``lstsq`` over all of them). A kernel
-    dimension different from r + 2p aborts with an error, since the
-    family then cannot possibly be complete.
+    The family is read only through :func:`phm.metrics.family_member` (no
+    inertia or residual is taken): n = r + 2p members at the parameters
+    of ``random_parameters(r, p, seed + k)``, k < n, as many as the family
+    has real parameters, so that in general position they span it (the
+    recovery check measures whether they do). Both inclusions are tested on
+    their coordinates X: every member must project into the kernel span
+    with negligible defect, and every kernel basis element must be
+    reproduced by a least-squares combination of the members (one
+    ``lstsq`` over all of them). A kernel dimension different from n
+    aborts with an error, since the family then cannot possibly be
+    complete.
     """
-    from .generators import random_parameters  # deferred: generators imports metrics
-
     n = sd.n
     if report.dimension != n:
         raise FamilyMismatchError(
@@ -350,15 +329,12 @@ def family_vs_kernel(
         )
     K = hermitian_coords(report.basis)  # (n, n^2), orthonormal rows
 
-    members = [
-        family_member(sd, random_parameters(sd.r, sd.p, seed=seed + k)) for k in range(n_samples)
-    ]
-    X = hermitian_coords(np.reshape(members, (n_samples, n, n)))
+    members = [family_member(sd, random_parameters(sd.r, sd.p, seed=seed + k)) for k in range(n)]
+    X = hermitian_coords(np.reshape(members, (n, n, n)))
     max_proj = _max_relative_defect(X - (X @ K.T) @ K, X, axis=1)
 
-    A = _family_design_matrix(sd)
-    c, *_ = np.linalg.lstsq(A, K.T, rcond=None)
-    max_rec = _max_relative_defect(A @ c - K.T, K.T, axis=0)
+    c, *_ = np.linalg.lstsq(X.T, K.T, rcond=None)
+    max_rec = _max_relative_defect(X.T @ c - K.T, K.T, axis=0)
 
     return FamilyKernelMatch(
         max_projection_defect=max_proj,

@@ -98,7 +98,7 @@ def test_criterion_2_oracle_dimension(pool):
         report = solution_space(inst.H)
         dims_ok = dims_ok and report.dimension == inst.sd.n
         min_gap_ratio = min(min_gap_ratio, report.gap_ratio)
-        match = family_vs_kernel(inst.sd, report, n_samples=5, seed=3_000_000 + k)
+        match = family_vs_kernel(inst.sd, report, seed=3_000_000 + k)
         worst_defect = max(
             worst_defect, match.max_projection_defect, match.max_recovery_defect
         )

@@ -13,8 +13,9 @@ from phm import cli, decompose, oracle, random_hermitian, spectral
 from phm.errors import DimensionError, EnumerationCapError, FamilyMismatchError
 from phm.matrices import SIGMA_X, SIGMA_Y, SIGMA_Z
 from phm.oracle import (
+    MATCH_DEFECT_TOL,
     RANK_TOL,
-    _family_design_matrix,
+    KernelReport,
     _solve_upper,
     family_vs_kernel,
     hermitian_basis,
@@ -109,7 +110,7 @@ def test_degenerate_spectrum_has_larger_kernel():
 def test_family_vs_kernel_agreement():
     inst = make_instance(6, 2, 2, seed=13)
     report = solution_space(inst.H)
-    match = family_vs_kernel(inst.sd, report, n_samples=5, seed=99)
+    match = family_vs_kernel(inst.sd, report, seed=99)
     assert match.max_projection_defect <= 1e-8
     assert match.max_recovery_defect <= 1e-8
     assert match.params_recovered
@@ -165,52 +166,49 @@ def test_index_path_matches_basis_tensor(n, seed):
     assert_allclose(matrix_from_coords(x), want, rtol=0, atol=1e-15 * np.abs(x).max())
 
 
-def _loop_design_matrix(sd):
-    """The family directions S^dagger B S, one dense product per column."""
-    n = sd.n
-    cols = []
-    Sd = sd.S.conj().T
-    for i in range(sd.r):
-        B = np.zeros((n, n), dtype=np.complex128)
-        B[i, i] = 1.0
-        cols.append(hermitian_coords(Sd @ B @ sd.S))
-    for s_idx in range(sd.p):
-        k = sd.r + 2 * s_idx
-        Bx = np.zeros((n, n), dtype=np.complex128)
-        Bx[k, k + 1] = 1.0
-        Bx[k + 1, k] = 1.0
-        cols.append(hermitian_coords(Sd @ Bx @ sd.S))
-        By = np.zeros((n, n), dtype=np.complex128)
-        By[k, k + 1] = -1.0j
-        By[k + 1, k] = 1.0j
-        cols.append(hermitian_coords(Sd @ By @ sd.S))
-    return np.stack(cols, axis=1)
-
-
-@pytest.mark.parametrize("n,r,p", [(1, 1, 0), (2, 0, 1), (5, 1, 2), (6, 6, 0), (8, 2, 3)])
-def test_family_design_matrix_matches_loop(n, r, p):
-    inst = make_instance(n, r, p, seed=21)
-    A = _family_design_matrix(inst.sd)
-    want = _loop_design_matrix(inst.sd)
-    assert A.shape == (n * n, n)
-    assert_allclose(A, want, rtol=0, atol=1e-13 * np.abs(want).max())
-
-
 def test_oracle_request_never_builds_basis_tensor(capsys, monkeypatch, tmp_path):
-    built = []
-
-    def recording_basis(n):
-        built.append(hermitian_basis(n))
-        return built[-1]
-
-    monkeypatch.setattr(cli, "hermitian_basis", recording_basis)
-    # no basis object reaches the solve, so any tensor built on the way fails here
+    # any basis tensor built on the way to the kernel fails here
     monkeypatch.setattr(oracle.HermitianBasis, "elements", property(lambda self: pytest.fail("built")))
     path = write_matrix_json(tmp_path / "h.json", make_instance(6, 2, 2, seed=4).H)
     assert cli.main(["oracle", path]) == 0
     assert json.loads(capsys.readouterr().out)["kernel_dimension"] == 6
-    assert len(built) == 1
-    assert "elements" not in built[0].__dict__
+
+
+def test_oracle_builds_n_family_members(capsys, monkeypatch, tmp_path):
+    calls = []
+    member = oracle.family_member
+    monkeypatch.setattr(oracle, "family_member", lambda sd, params: calls.append(params) or member(sd, params))
+    path = write_matrix_json(tmp_path / "h.json", make_instance(7, 3, 2, seed=5).H)
+    assert cli.main(["oracle", path]) == 0
+    assert json.loads(capsys.readouterr().out)["kernel_dimension"] == 7
+    assert len(calls) == 7
+
+
+def test_oracle_fails_on_members_outside_the_family(capsys, monkeypatch, tmp_path):
+    # conj(S^dagger m S) = S^T conj(m) conj(S), a dropped conjugate: a member of
+    # conj(H)'s family, not H's. (Swapping tau and conj tau in m would not do:
+    # it maps the family onto itself, so no span comparison can see it.)
+    member = oracle.family_member
+    monkeypatch.setattr(oracle, "family_member", lambda sd, params: member(sd, params).conj())
+    path = write_matrix_json(tmp_path / "h.json", make_instance(6, 2, 2, seed=4).H)
+    assert cli.main(["oracle", path]) == 8
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["max_projection_defect"] > MATCH_DEFECT_TOL
+    assert doc["params_recovered"] is False
+
+
+def test_kernel_direction_outside_the_family_is_not_recovered():
+    inst = make_instance(6, 2, 2, seed=13)
+    report = solution_space(inst.H)
+    K = hermitian_coords(report.basis)
+    g = np.random.default_rng(0).standard_normal(K.shape[1])
+    g -= K.T @ (K @ g)  # orthogonal to the kernel, which is the family's span
+    K[0] = g / np.linalg.norm(g)  # orthogonal to the other kernel rows too
+    bad = KernelReport(report.dimension, matrix_from_coords(K), report.singular_values, report.gap_ratio)
+    match = family_vs_kernel(inst.sd, bad)
+    assert match.max_recovery_defect > MATCH_DEFECT_TOL
+    assert not match.params_recovered
+    assert family_vs_kernel(inst.sd, report).params_recovered
 
 
 def test_oracle_cap_applies_before_decomposition(capsys, monkeypatch, tmp_path):

@@ -34,7 +34,7 @@ def _script(name, *args, cwd):
     "name, args, line",
     [
         ("metric_space_demo.py", [], None),
-        ("kernel_survey.py", ["--max-n", "4", "--samples", "2"], "all kernel dimensions match"),
+        ("kernel_survey.py", ["--max-n", "4"], "all kernel dimensions match"),
     ],
 )
 def test_script_runs(tmp_path, name, args, line):

@@ -55,7 +55,6 @@ from .metrics import (
 )
 from .oracle import (
     FamilyKernelMatch,
-    HermitianBasis,
     KernelReport,
     family_vs_kernel,
     hermitian_basis,
@@ -88,7 +87,6 @@ __all__ = [
     "GeneratedInstance",
     "GeneratorConfig",
     "GenerationError",
-    "HermitianBasis",
     "IllConditionedError",
     "KernelReport",
     "MetricParameters",

@@ -16,9 +16,9 @@ with are not independent, they are built by that construction
 (:func:`phm.metrics.family_member`), the only one the oracle reads.
 A desk-scale verifier, capped at n <= 32.
 
-Costs: coordinates are read and written by index, so the request path
-never forms the (n^2, n, n) basis tensor. The operator is assembled from
-its about 4 n^3 nonzeros into a dense n^2 x n^2 real array, O(n^4)
+Costs: coordinates are read and written by index, so a request never
+forms the (n^2, n, n) basis tensor nor any kernel matrix. L is assembled
+from its about 4 n^3 nonzeros into a dense n^2 x n^2 real array, O(n^4)
 memory. Its singular values and its QR factor, O(n^6) time each, are the
 expensive steps; no n^2 x n^2 singular-vector factor is built, and the
 triangular solves factor no n^2 x n^2 matrix (blocks of at most 64 rows
@@ -48,34 +48,6 @@ _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
 @dataclass(frozen=True)
-class HermitianBasis:
-    """Trace-orthonormal basis of the real vector space of hermitian matrices.
-
-    Ordering: diagonal units first, then for each index pair k < l (in
-    ``np.triu_indices`` order) the symmetric element
-    (e_k e_l^T + e_l e_k^T)/sqrt(2) followed by the antisymmetric element
-    i (e_k e_l^T - e_l e_k^T)/sqrt(2). The oracle works by index on this
-    ordering; ``elements`` spells the basis out as an (n*n, n, n) array.
-    """
-
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise DimensionError("basis dimension must be >= 1")
-        _check_cap(self.n)
-
-    @property
-    def dim(self) -> int:
-        return self.n * self.n
-
-    @cached_property
-    def elements(self) -> np.ndarray:
-        """The basis matrices, shape (n*n, n, n), built on first access."""
-        return lock(matrix_from_coords(np.eye(self.dim)))
-
-
-@dataclass(frozen=True)
 class KernelReport:
     """Numerical nullspace of the linearized intertwining operator.
 
@@ -84,18 +56,24 @@ class KernelReport:
     cut of :func:`solution_space`. ``gap_ratio`` is the ratio of the first
     kept to the last discarded singular value, a confidence proxy for the
     rank decision (below RANK_GAP_WARN the rank is flagged ambiguous, as a
-    warning rather than an error). ``basis`` is an orthonormal basis of
-    the kernel, found by inverse iteration (see :func:`solution_space`).
+    warning rather than an error). ``coords`` are the rows of an
+    orthonormal kernel basis over the ordering of :func:`hermitian_basis`,
+    found by inverse iteration (see :func:`solution_space`).
     """
 
     dimension: int
-    basis: np.ndarray  # shape (dimension, n, n), hermitian, trace-orthonormal
+    coords: np.ndarray  # shape (dimension, n*n), orthonormal rows
     singular_values: np.ndarray
     gap_ratio: float
 
     def __post_init__(self):
-        lock(self.basis)
+        lock(self.coords)
         lock(self.singular_values)
+
+    @cached_property
+    def basis(self) -> np.ndarray:
+        """The kernel as hermitian matrices, shape (dimension, n, n), built on first access."""
+        return lock(matrix_from_coords(self.coords))
 
     @property
     def rank_ambiguous(self) -> bool:
@@ -111,9 +89,19 @@ class FamilyKernelMatch:
     params_recovered: bool
 
 
-def hermitian_basis(n: int) -> HermitianBasis:
-    """The n^2-element trace-orthonormal hermitian basis (1 <= n <= ORACLE_DIM_CAP)."""
-    return HermitianBasis(n=n)
+def hermitian_basis(n: int) -> np.ndarray:
+    """The n^2-element trace-orthonormal hermitian basis, shape (n*n, n, n).
+
+    Ordering: diagonal units first, then for each index pair k < l (in
+    ``np.triu_indices`` order) the symmetric element
+    (e_k e_l^T + e_l e_k^T)/sqrt(2) followed by the antisymmetric element
+    i (e_k e_l^T - e_l e_k^T)/sqrt(2). The oracle works by index on this
+    ordering and never builds the tensor (1 <= n <= ORACLE_DIM_CAP).
+    """
+    if n < 1:
+        raise DimensionError("basis dimension must be >= 1")
+    _check_cap(n)
+    return lock(matrix_from_coords(np.eye(n * n)))
 
 
 def _check_cap(n: int) -> None:
@@ -242,11 +230,11 @@ def solution_space(H) -> KernelReport:
     :func:`_solve_upper` (the R^T solve on the upper-triangular view
     R^T[::-1, ::-1]) and orthonormalized. A step scales each right
     singular direction by 1 / sigma^2, so the kernel outgrows the rest by
-    the square of the gap ratio. The kernel's own singular values are rounding spread over
-    decades, so the first step stretches the block unevenly inside the
-    kernel and leaves its weak directions with the rounding of the
-    strong ones (2e-9 off the kernel on a generated n = 7 matrix); the
-    second, from an orthonormal block, removes that.
+    the square of the gap ratio. The kernel's own singular values are
+    rounding spread over decades, so the first step stretches the block
+    unevenly inside the kernel and leaves its weak directions with the
+    rounding of the strong ones (2e-9 off the kernel on a generated n = 7
+    matrix); the second, from an orthonormal block, removes that.
     :func:`family_vs_kernel` measures the span of the result.
 
     An H with largest |Re| or |Im| outside [2**-500, 2**500) is scaled to
@@ -290,7 +278,6 @@ def solution_space(H) -> KernelReport:
             X = np.linalg.qr(_solve_upper(R, Z))[0]
         coords = np.empty_like(X.T)
         coords[:, order] = X.T  # back to the unknowns' own order
-    kernel = matrix_from_coords(coords)
     s_asc = s[::-1]
     if dim == 0 or dim == s_asc.size or s_asc[dim - 1] == 0.0:
         gap = np.inf
@@ -298,7 +285,7 @@ def solution_space(H) -> KernelReport:
         gap = float(s_asc[dim] / s_asc[dim - 1])
     with np.errstate(over="ignore"):
         s_asc = np.ldexp(s_asc, shift)
-    return KernelReport(dimension=dim, basis=kernel, singular_values=s_asc, gap_ratio=gap)
+    return KernelReport(dimension=dim, coords=coords, singular_values=s_asc, gap_ratio=gap)
 
 
 def _max_relative_defect(defects: np.ndarray, vectors: np.ndarray, axis: int) -> float:
@@ -327,7 +314,7 @@ def family_vs_kernel(sd: SpectralData, report: KernelReport, seed: int = 0) -> F
             f"kernel dimension {report.dimension} != r + 2p = {n}; the "
             "spectrum may be (near-)degenerate or the input inadmissible"
         )
-    K = hermitian_coords(report.basis)  # (n, n^2), orthonormal rows
+    K = report.coords  # (n, n^2), orthonormal rows
 
     members = [family_member(sd, random_parameters(sd.r, sd.p, seed=seed + k)) for k in range(n)]
     X = hermitian_coords(np.reshape(members, (n, n, n)))

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 from hypothesis import settings
 
-from phm import GeneratorConfig, generate_via_spectrum
+from phm import GeneratorConfig, cli, generate_via_spectrum
 
 # Every run draws the same examples and replays none saved by an earlier
 # run, so two runs of one commit test the same cases. max_examples stays
@@ -51,3 +53,11 @@ def write_matrix_json(path, M) -> str:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
     return str(path)
+
+
+def cli_doc(argv):
+    """Exit code and stdout document of one in-process call."""
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    return code, json.loads(out.getvalue())

@@ -1,6 +1,4 @@
-import io
 import json
-from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
@@ -8,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import DIAG12, ROT2, make_instance, rp_splits, write_matrix_json
+from conftest import DIAG12, ROT2, cli_doc, make_instance, rp_splits, write_matrix_json
 from phm import cli, decompose, oracle, random_hermitian, spectral
 from phm.errors import DimensionError, EnumerationCapError, FamilyMismatchError
 from phm.matrices import SIGMA_X, SIGMA_Y, SIGMA_Z
@@ -27,13 +25,20 @@ from phm.oracle import (
 
 
 def test_basis_is_trace_orthonormal():
-    basis = hermitian_basis(3)
-    assert basis.dim == 9
-    E = basis.elements
+    E = hermitian_basis(3)
+    assert E.shape == (9, 3, 3)
+    assert not E.flags.writeable
     gram = np.einsum("aij,bji->ab", E, E)
     assert_allclose(gram, np.eye(9), atol=1e-15)
     for mat in E:
         assert_allclose(mat, mat.conj().T, atol=0)
+
+
+def test_basis_refuses_sizes_outside_one_to_the_cap():
+    with pytest.raises(DimensionError, match="basis dimension must be >= 1"):
+        hermitian_basis(0)
+    with pytest.raises(EnumerationCapError, match="got n = 33"):
+        hermitian_basis(33)
 
 
 @settings(deadline=None, max_examples=30)
@@ -96,6 +101,11 @@ def test_kernel_matrices_are_hermitian():
     inst = make_instance(5, 1, 2, seed=8)
     report = solution_space(inst.H)
     assert report.dimension == 5
+    assert report.coords.shape == (5, 25)
+    assert_allclose(report.coords @ report.coords.T, np.eye(5), atol=1e-14)
+    # the matrices are built once, on first read, from the coordinates
+    assert report.basis is report.basis
+    assert np.array_equal(report.basis, matrix_from_coords(report.coords))
     for B in report.basis:
         assert np.array_equal(B, B.conj().T)
     assert report.gap_ratio > 100.0
@@ -136,9 +146,8 @@ def test_coordinate_count_must_be_a_square():
 # ------------------------------------------- index path against the tensor
 
 
-def _tensor_operator_matrix(H, basis):
-    """Reference assembly over the (n^2, n, n) basis tensor: Im Tr(E_a C_b)."""
-    E = basis.elements
+def _tensor_operator_matrix(H, E):
+    """Reference assembly over the (n^2, n, n) basis tensor E: Im Tr(E_a C_b)."""
     C = np.matmul(H.conj().T, E) - np.matmul(E, H)
     Ef = E.reshape(E.shape[0], -1)
     Cf = np.transpose(C, (0, 2, 1)).reshape(C.shape[0], -1)
@@ -153,11 +162,10 @@ def _complex_gaussian(rng, *shape):
 @given(n=st.integers(1, 6), seed=st.integers(0, 10**6))
 def test_index_path_matches_basis_tensor(n, seed):
     rng = np.random.default_rng(seed)
-    basis = hermitian_basis(n)
-    E = basis.elements
+    E = hermitian_basis(n)
     H = _complex_gaussian(rng, n, n)  # admissible or not: L is defined for any H
     L = intertwining_operator_matrix(H)
-    assert np.max(np.abs(L - _tensor_operator_matrix(H, basis))) <= 1e-14 * np.linalg.norm(H)
+    assert np.max(np.abs(L - _tensor_operator_matrix(H, E))) <= 1e-14 * np.linalg.norm(H)
     X = _complex_gaussian(rng, 3, n, n)  # not hermitian
     want = np.stack([np.einsum("aij,ji->a", E, M).real for M in X])
     assert_allclose(hermitian_coords(X), want, rtol=0, atol=1e-14 * np.abs(X).max())
@@ -167,8 +175,10 @@ def test_index_path_matches_basis_tensor(n, seed):
 
 
 def test_oracle_request_never_builds_basis_tensor(capsys, monkeypatch, tmp_path):
-    # any basis tensor built on the way to the kernel fails here
-    monkeypatch.setattr(oracle.HermitianBasis, "elements", property(lambda self: pytest.fail("built")))
+    # the kernel stays in coordinates: any basis tensor or kernel matrix
+    # built on the way to the comparison fails here
+    monkeypatch.setattr(oracle, "hermitian_basis", lambda n: pytest.fail("built the basis tensor"))
+    monkeypatch.setattr(oracle, "matrix_from_coords", lambda x: pytest.fail("built a matrix from coordinates"))
     path = write_matrix_json(tmp_path / "h.json", make_instance(6, 2, 2, seed=4).H)
     assert cli.main(["oracle", path]) == 0
     assert json.loads(capsys.readouterr().out)["kernel_dimension"] == 6
@@ -200,11 +210,11 @@ def test_oracle_fails_on_members_outside_the_family(capsys, monkeypatch, tmp_pat
 def test_kernel_direction_outside_the_family_is_not_recovered():
     inst = make_instance(6, 2, 2, seed=13)
     report = solution_space(inst.H)
-    K = hermitian_coords(report.basis)
+    K = report.coords.copy()
     g = np.random.default_rng(0).standard_normal(K.shape[1])
     g -= K.T @ (K @ g)  # orthogonal to the kernel, which is the family's span
     K[0] = g / np.linalg.norm(g)  # orthogonal to the other kernel rows too
-    bad = KernelReport(report.dimension, matrix_from_coords(K), report.singular_values, report.gap_ratio)
+    bad = KernelReport(report.dimension, K, report.singular_values, report.gap_ratio)
     match = family_vs_kernel(inst.sd, bad)
     assert match.max_recovery_defect > MATCH_DEFECT_TOL
     assert not match.params_recovered
@@ -321,20 +331,12 @@ def test_oracle_accepts_generated_1x1(capsys, tmp_path, seed):
     assert json.loads(capsys.readouterr().out)["kernel_dimension"] == 1
 
 
-def _cli_doc(argv):
-    """Exit code and stdout document of one in-process call."""
-    out = io.StringIO()
-    with redirect_stdout(out), redirect_stderr(io.StringIO()):
-        code = cli.main(argv)
-    return code, json.loads(out.getvalue())
-
-
 @pytest.mark.parametrize("c", [1.0, 10.0, 1e3])
 def test_oracle_accepts_upper_triangular_2x2(tmp_path, c):
     # zero columns early in L floored three diagonal entries of an unordered
     # QR's R for a kernel of two, and the basis missed the kernel (exit 8)
     H = np.array([[1.0, c], [0.0, 2.0]])
-    code, doc = _cli_doc(["oracle", write_matrix_json(tmp_path / "h.json", H)])
+    code, doc = cli_doc(["oracle", write_matrix_json(tmp_path / "h.json", H)])
     assert code == 0, doc
     assert doc["kernel_dimension"] == 2
     assert max(doc["max_projection_defect"], doc["max_recovery_defect"]) <= 1e-12
@@ -354,10 +356,10 @@ def test_oracle_accepts_what_analyze_accepts_on_triangular_matrices(tmp_path_fac
         upper = st.floats(-1e3, 1e3) if real else st.complex_numbers(max_magnitude=1e3, allow_infinity=False)
         H[k, l] = data.draw(st.lists(upper, min_size=k.size, max_size=k.size))
     path = write_matrix_json(tmp_path_factory.mktemp("triangular") / "h.json", H)
-    code, doc = _cli_doc(["analyze", path])
+    code, doc = cli_doc(["analyze", path])
     if code != 0 or doc["cond_S"] > 1e3:
         return
-    code, doc = _cli_doc(["oracle", path])
+    code, doc = cli_doc(["oracle", path])
     assert code == 0, (H, doc)
     assert _projector_distance(H, solution_space(H)) <= 1e-9
 

@@ -1,7 +1,9 @@
 """Smoke tests of the public surface: the example scripts each run to the
-end and exit 0, README's library quick start prints what it says, and every
-``phm.__all__`` name resolves."""
+end and exit 0, README's library quick start prints what it says, every
+``phm.__all__`` name resolves, and so does every function the benchmark's
+tracer wraps."""
 
+import importlib.util
 import io
 import os
 import re
@@ -58,3 +60,20 @@ def test_readme_quick_start_runs():
 def test_public_names_resolve_once():
     assert len(set(phm.__all__)) == len(phm.__all__)
     assert [name for name in phm.__all__ if not hasattr(phm, name)] == []
+
+
+def test_traced_names_resolve():
+    # the tracer looks each (module, function) up when it installs, so a
+    # renamed phm function would otherwise fail only a traced benchmark run
+    path = os.path.join(_REPO, "benchmark", "tracing.py")
+    spec = importlib.util.spec_from_file_location("benchmark_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [
+        (module, name)
+        for module, name in tracing.TRACED
+        if not callable(getattr(importlib.import_module("phm." + module), name, None))
+    ]
+    assert missing == []
+    traced = {f"{module}.{name}" for module, name in tracing.TRACED}
+    assert set(tracing.RESULT_BYTES) <= traced
